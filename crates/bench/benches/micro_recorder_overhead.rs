@@ -1,7 +1,7 @@
 //! Recording-off overhead on the replay hot path.
 //!
 //! The telemetry layer promises that a [`NullRecorder`] is free: every
-//! hook is an `#[inline]` default no-op, so `run_packing_recorded` with
+//! hook is an `#[inline]` default no-op, so `run_packing_with` handed
 //! the null recorder must land within measurement noise of the bare
 //! `run_packing`. This harness pins that promise, and also quantifies
 //! what the *enabled* paths cost — the full [`Telemetry`] stack and an
@@ -43,7 +43,12 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut model = shared_model();
             let mut recorder = NullRecorder;
-            std::hint::black_box(run_packing_recorded(&wl, &mut model, &mut recorder))
+            std::hint::black_box(run_packing_with(
+                &wl,
+                &mut model,
+                RunOptions::default(),
+                &mut recorder,
+            ))
         })
     });
 
@@ -51,7 +56,12 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut model = shared_model();
             let mut telemetry = Telemetry::new();
-            std::hint::black_box(run_packing_recorded(&wl, &mut model, &mut telemetry))
+            std::hint::black_box(run_packing_with(
+                &wl,
+                &mut model,
+                RunOptions::default(),
+                &mut telemetry,
+            ))
         })
     });
 
@@ -60,11 +70,13 @@ fn bench(c: &mut Criterion) {
             let mut model = shared_model();
             let mut telemetry = Telemetry::new();
             let mut sampler = ClusterSampler::new(3600);
-            std::hint::black_box(run_packing_observed(
+            std::hint::black_box(run_packing_with(
                 &wl,
                 &mut model,
-                None,
-                Some(&mut sampler),
+                RunOptions {
+                    sampler: Some(&mut sampler),
+                    ..RunOptions::default()
+                },
                 &mut telemetry,
             ))
         })

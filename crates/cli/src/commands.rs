@@ -532,6 +532,66 @@ fn trace_model(args: &Args) -> Result<DeploymentModel, CliError> {
     Ok(model)
 }
 
+/// The fleet as it stands partway through `--trace`: builds the
+/// [`trace_model`], then replays the trace prefix onto it with `replay`
+/// semantics — a rejected placement is counted and skipped (its
+/// departure self-skips via the location probe), never an error. The
+/// prefix is the first `--at` events (default: all of them) or, when
+/// the caller cuts by time instead, the events up to `until_secs`.
+/// Returns the model, the trace, the event cutoff, and the rejections.
+fn fleet_at(
+    args: &Args,
+    until_secs: Option<u64>,
+) -> Result<(DeploymentModel, Workload, usize, u32), CliError> {
+    use slackvm::workload::WorkloadEvent;
+    let mut model = trace_model(args)?;
+    let at: Option<usize> = args.get_parsed("at")?;
+    let workload = load_trace(args)?;
+    let events = &workload.events;
+    let cutoff = match until_secs {
+        Some(until) => events.iter().take_while(|(t, _)| *t <= until).count(),
+        None => at.unwrap_or(events.len()).min(events.len()),
+    };
+    let mut rejections = 0u32;
+    for (_, event) in &events[..cutoff] {
+        match event {
+            WorkloadEvent::Arrival(vm) => {
+                if model.deploy(vm.id, vm.spec).is_err() {
+                    rejections += 1;
+                }
+            }
+            WorkloadEvent::Departure { id } => {
+                if model.location_of(*id).is_some() {
+                    model
+                        .remove(*id)
+                        .map_err(|e| CliError::Invalid(format!("replay failed: {e}")))?;
+                }
+            }
+            WorkloadEvent::Resize { id, vcpus, mem_mib } => {
+                let _ = model.resize(*id, *vcpus, *mem_mib);
+            }
+        }
+    }
+    Ok((model, workload, cutoff, rejections))
+}
+
+/// The `state at event …` line `rebalance` and `pressure` open with
+/// (CI scripts parse the event total out of it).
+fn fleet_header(
+    model: &DeploymentModel,
+    workload: &Workload,
+    cutoff: usize,
+    rejections: u32,
+) -> String {
+    format!(
+        "state at event {cutoff}/{}: {} PMs opened, {} active, {} rejection(s)\n",
+        workload.events.len(),
+        model.opened_pms(),
+        model.active_pms(),
+        rejections,
+    )
+}
+
 /// `slackvm replay`
 pub fn replay(args: &Args) -> Result<String, CliError> {
     args.expect_keys(&[
@@ -573,13 +633,16 @@ pub fn replay(args: &Args) -> Result<String, CliError> {
                 sampler
             }
         });
-        let out = run_packing_observed(
+        let out = run_packing_with(
             &workload,
             &mut model,
-            None,
-            sampler.as_mut(),
+            RunOptions {
+                sampler: sampler.as_mut(),
+                ..RunOptions::default()
+            },
             &mut telemetry,
-        );
+        )
+        .outcome;
         let write = |path: &str, content: &str| -> Result<(), CliError> {
             std::fs::write(path, content).map_err(|source| CliError::Io {
                 path: path.to_string(),
@@ -704,29 +767,16 @@ pub fn obs(args: &Args) -> Result<String, CliError> {
 /// `slackvm compact`
 pub fn compact(args: &Args) -> Result<String, CliError> {
     args.expect_keys(&["trace", "at-day"])?;
-    let workload = load_trace(args)?;
     let at_day: u64 = args.get_parsed_or("at-day", 4)?;
-    let mut pool = SharedDeployment::new(Arc::new(flat(32)), gib(128));
-    for (time, event) in &workload.events {
-        if *time > at_day * 86_400 {
-            break;
-        }
-        match event {
-            slackvm::workload::WorkloadEvent::Arrival(vm) => {
-                pool.deploy(vm.id, vm.spec)
-                    .map_err(|e| CliError::Invalid(format!("replay failed: {e}")))?;
-            }
-            slackvm::workload::WorkloadEvent::Departure { id } => {
-                if pool.cluster.location_of(*id).is_some() {
-                    pool.remove(*id)
-                        .map_err(|e| CliError::Invalid(format!("replay failed: {e}")))?;
-                }
-            }
-            slackvm::workload::WorkloadEvent::Resize { id, vcpus, mem_mib } => {
-                let _ = pool.resize(*id, *vcpus, *mem_mib);
-            }
-        }
+    let (model, _, _, rejections) = fleet_at(args, Some(at_day * 86_400))?;
+    if rejections > 0 {
+        return Err(CliError::Invalid(format!(
+            "replay failed: {rejections} VM(s) fit no worker"
+        )));
     }
+    let DeploymentModel::Shared(pool) = model else {
+        unreachable!("compact takes no --model: the default fleet is shared")
+    };
     let snapshots: Vec<MachineSnapshot> =
         pool.cluster.hosts().iter().map(|h| h.snapshot()).collect();
     let plan = plan_compaction(&snapshots);
@@ -786,40 +836,8 @@ pub fn rebalance(args: &Args) -> Result<String, CliError> {
     // Budget and model flags are validated before the trace read, same
     // contract as `replay`.
     let budget = rebalance_budget(args, ["max-migrations", "max-moved-gib", "max-concurrent"])?;
-    let mut model = trace_model(args)?;
-    let at: Option<usize> = args.get_parsed("at")?;
-    let workload = load_trace(args)?;
-    let cutoff = at.unwrap_or(workload.events.len()).min(workload.events.len());
-    // Replay the trace prefix with `replay` semantics: a rejected
-    // placement is counted and skipped (its departure self-skips via
-    // the location probe), never an error.
-    let mut rejections = 0u32;
-    for (_, event) in workload.events.iter().take(cutoff) {
-        match event {
-            slackvm::workload::WorkloadEvent::Arrival(vm) => {
-                if model.deploy(vm.id, vm.spec).is_err() {
-                    rejections += 1;
-                }
-            }
-            slackvm::workload::WorkloadEvent::Departure { id } => {
-                if model.location_of(*id).is_some() {
-                    model
-                        .remove(*id)
-                        .map_err(|e| CliError::Invalid(format!("replay failed: {e}")))?;
-                }
-            }
-            slackvm::workload::WorkloadEvent::Resize { id, vcpus, mem_mib } => {
-                let _ = model.resize(*id, *vcpus, *mem_mib);
-            }
-        }
-    }
-    let mut out = format!(
-        "state at event {cutoff}/{}: {} PMs opened, {} active, {} rejection(s)\n",
-        workload.events.len(),
-        model.opened_pms(),
-        model.active_pms(),
-        rejections,
-    );
+    let (mut model, workload, cutoff, rejections) = fleet_at(args, None)?;
+    let mut out = fleet_header(&model, &workload, cutoff, rejections);
     let plan = slackvm_rebalance::plan_rebalance(&model, &budget)
         .map_err(|e| CliError::Invalid(e.to_string()))?;
     out.push_str(&plan.render());
@@ -886,30 +904,7 @@ pub fn pressure(args: &Args) -> Result<String, CliError> {
         ));
     }
     let thresholds = slackvm_pressure::PressureConfig::default();
-    let mut model = trace_model(args)?;
-    let at: Option<usize> = args.get_parsed("at")?;
-    let workload = load_trace(args)?;
-    let cutoff = at.unwrap_or(workload.events.len()).min(workload.events.len());
-    let mut rejections = 0u32;
-    for (_, event) in workload.events.iter().take(cutoff) {
-        match event {
-            slackvm::workload::WorkloadEvent::Arrival(vm) => {
-                if model.deploy(vm.id, vm.spec).is_err() {
-                    rejections += 1;
-                }
-            }
-            slackvm::workload::WorkloadEvent::Departure { id } => {
-                if model.location_of(*id).is_some() {
-                    model
-                        .remove(*id)
-                        .map_err(|e| CliError::Invalid(format!("replay failed: {e}")))?;
-                }
-            }
-            slackvm::workload::WorkloadEvent::Resize { id, vcpus, mem_mib } => {
-                let _ = model.resize(*id, *vcpus, *mem_mib);
-            }
-        }
-    }
+    let (mut model, workload, cutoff, rejections) = fleet_at(args, None)?;
     // Feed the synthesized per-VM signal through the same estimator
     // pipeline the serve tick runs, so an offline `pressure apply`
     // plans exactly what the online tick would.
@@ -919,13 +914,7 @@ pub fn pressure(args: &Args) -> Result<String, CliError> {
         slackvm_pressure::synth_frac(usage_seed, vm, hot_frac)
     });
     let usage = |vm| tracker.demand(vm);
-    let mut out = format!(
-        "state at event {cutoff}/{}: {} PMs opened, {} active, {} rejection(s)\n",
-        workload.events.len(),
-        model.opened_pms(),
-        model.active_pms(),
-        rejections,
-    );
+    let mut out = fleet_header(&model, &workload, cutoff, rejections);
     if action == "status" {
         let report =
             slackvm_pressure::score_pressure(&model, &thresholds, &usage, &Default::default());
@@ -1164,7 +1153,15 @@ pub fn steady(args: &Args) -> Result<String, CliError> {
         }
     };
     let mut samples = Vec::new();
-    slackvm::sim::run_packing_with_samples(&workload, &mut model, Some(&mut samples));
+    run_packing_with(
+        &workload,
+        &mut model,
+        RunOptions {
+            samples: Some(&mut samples),
+            ..RunOptions::default()
+        },
+        &mut NullRecorder,
+    );
     let summary = slackvm::sim::analyze_steady_state(&samples)
         .ok_or_else(|| CliError::Invalid("trace too short for steady-state analysis".into()))?;
     let mut out = format!(

@@ -102,16 +102,23 @@ pub fn compare_packing_with_compaction(
     let baseline_out = run_packing(&workload, &mut baseline);
 
     let topology = Arc::new(builders::flat(config.host.cores));
-    let mut pool = SharedDeployment::new(topology, config.host.mem_mib);
-    let (slackvm_out, stats) =
-        slackvm_sim::run_packing_compacting(&workload, &mut pool, compact_every_secs);
+    let mut pool = DeploymentModel::Shared(SharedDeployment::new(topology, config.host.mem_mib));
+    let run = slackvm_sim::run_packing_with(
+        &workload,
+        &mut pool,
+        slackvm_sim::RunOptions {
+            compact_every: Some(compact_every_secs),
+            ..Default::default()
+        },
+        &mut slackvm_telemetry::NullRecorder,
+    );
 
     (
         PackingComparison {
             baseline: baseline_out,
-            slackvm: slackvm_out,
+            slackvm: run.outcome,
         },
-        stats,
+        run.compaction,
     )
 }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use slackvm_hypervisor::{plan_compaction, MachineSnapshot};
 use slackvm_model::{OversubLevel, PmConfig};
 use slackvm_sim::{
-    analyze_steady_state, run_packing_with_samples, DedicatedDeployment, DeploymentModel,
+    analyze_steady_state, run_packing_with, DedicatedDeployment, DeploymentModel, RunOptions,
     SharedDeployment,
 };
 use slackvm_topology::builders;
@@ -70,7 +70,16 @@ pub fn trace_report(workload: &Workload, host: PmConfig) -> String {
     let mut shared_model =
         DeploymentModel::Shared(SharedDeployment::new(Arc::clone(&topology), host.mem_mib));
     let mut samples = Vec::new();
-    let slack = run_packing_with_samples(workload, &mut shared_model, Some(&mut samples));
+    let slack = run_packing_with(
+        workload,
+        &mut shared_model,
+        RunOptions {
+            samples: Some(&mut samples),
+            ..RunOptions::default()
+        },
+        &mut slackvm_telemetry::NullRecorder,
+    )
+    .outcome;
     let _ = writeln!(out, "## Packing ({host})\n");
     let _ = writeln!(
         out,

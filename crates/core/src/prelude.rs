@@ -20,11 +20,10 @@ pub use slackvm_sched::{
     WorstFitScorer,
 };
 pub use slackvm_sim::{
-    analyze_steady_state, run_packing, run_packing_compacting, run_packing_compacting_recorded,
-    run_packing_observed, run_packing_recorded, run_packing_with_failures,
-    run_packing_with_failures_recorded, run_packing_with_samples, store_from_samples, Cluster,
+    analyze_steady_state, run_packing, run_packing_with, store_from_samples, Cluster,
     ClusterObservables, ClusterSampler, CompactionStats, DedicatedDeployment, DeploymentModel,
-    FailureStats, OccupancySample, PackingOutcome, SharedDeployment, SteadyStateSummary,
+    FailureStats, OccupancySample, PackingOutcome, RunOptions, RunReport, SharedDeployment,
+    SteadyStateSummary,
 };
 pub use slackvm_telemetry::{
     Event, Journal, MetricsRegistry, NullRecorder, Recorder, Sampler, Telemetry, TimeSeriesStore,

@@ -23,8 +23,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use slackvm_hypervisor::Host;
 use slackvm_model::{PmId, VmId};
 use slackvm_rebalance::{Budget, PlannedMove, RebalanceError, RebalancePlan};
-use slackvm_sched::{AdmissionKey, Candidate, CandidateIndex, PlacementPolicy};
-use slackvm_sim::{Cluster, DeploymentModel};
+use slackvm_sched::{Candidate, CandidateIndex, PlacementPolicy};
+use slackvm_sim::{index_entry, Cluster, DeploymentModel};
 
 use crate::score::{
     score_host, score_pressure, vm_weight, PressureConfig, PressureReport, PressureState, StateKey,
@@ -351,22 +351,6 @@ fn mitigate_cluster<H: Host + Clone>(
         let (score, _) = score_host(host, config, usage);
         states_after.insert((level, host.id()), config.classify(score, Some(state0[i])));
     }
-}
-
-fn index_entry<H: Host>(host: &H) -> (Candidate, AdmissionKey) {
-    let headroom = host.admission_headroom();
-    (
-        Candidate {
-            id: host.id(),
-            config: host.config(),
-            alloc: host.alloc(),
-            vms: host.num_vms(),
-        },
-        AdmissionKey {
-            free_mem_mib: headroom.free_mem_mib,
-            free_vcpus: headroom.free_vcpus,
-        },
-    )
 }
 
 #[cfg(test)]

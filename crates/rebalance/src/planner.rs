@@ -21,8 +21,8 @@ use std::collections::BTreeSet;
 
 use slackvm_hypervisor::Host;
 use slackvm_model::PmId;
-use slackvm_sched::{AdmissionKey, Candidate, CandidateIndex, PlacementPolicy};
-use slackvm_sim::{Cluster, DeploymentModel};
+use slackvm_sched::{Candidate, CandidateIndex, PlacementPolicy};
+use slackvm_sim::{index_entry, Cluster, DeploymentModel};
 
 use crate::plan::{Budget, PlannedMove, RebalancePlan};
 use crate::RebalanceError;
@@ -207,22 +207,6 @@ fn utilization<H: Host>(host: &H) -> f64 {
     let cpu = alloc.cpu.as_cores_f64() / config.cores as f64;
     let mem = alloc.mem_mib as f64 / config.mem_mib as f64;
     0.5 * (cpu + mem)
-}
-
-fn index_entry<H: Host>(host: &H) -> (Candidate, AdmissionKey) {
-    let headroom = host.admission_headroom();
-    (
-        Candidate {
-            id: host.id(),
-            config: host.config(),
-            alloc: host.alloc(),
-            vms: host.num_vms(),
-        },
-        AdmissionKey {
-            free_mem_mib: headroom.free_mem_mib,
-            free_vcpus: headroom.free_vcpus,
-        },
-    )
 }
 
 #[cfg(test)]

@@ -94,9 +94,7 @@ pub use request::{
     ModelSpec, Op, Outcome, PressureOptions, RebalanceOptions, Reply, ServeConfig, TraceLevel,
 };
 pub use service::{PlacementService, ServiceReport};
-pub use shard::{
-    PressureSkip, PressureTick, RebalanceSkip, RebalanceTick, ShardReport, ShardSummary,
-};
+pub use shard::{PlaneTick, ShardReport, ShardSummary, TickSkip};
 pub use slackvm_durable::{DurableOptions, FsyncPolicy};
 pub use slackvm_telemetry::{SloReport, SloTargets};
 pub use tcp::{TcpServer, TcpStats};

@@ -12,7 +12,7 @@
 
 use slackvm_model::VmId;
 use slackvm_sim::{EventQueue, SimEvent};
-use slackvm_workload::{Workload, WorkloadEvent};
+use slackvm_workload::Workload;
 
 use crate::error::ServeError;
 use crate::request::{Op, Outcome};
@@ -53,23 +53,9 @@ pub fn serve_replay(
     workload: &Workload,
     service: &PlacementService,
 ) -> Result<ReplaySummary, ServeError> {
-    let mut queue = EventQueue::new();
-    for (t, event) in &workload.events {
-        match event {
-            WorkloadEvent::Arrival(vm) => queue.push(*t, SimEvent::Arrival(vm.clone())),
-            WorkloadEvent::Resize { id, vcpus, mem_mib } => queue.push(
-                *t,
-                SimEvent::Resize {
-                    id: *id,
-                    vcpus: *vcpus,
-                    mem_mib: *mem_mib,
-                },
-            ),
-            // Departures are synthesized from each placement, exactly
-            // like the offline engine.
-            WorkloadEvent::Departure { .. } => {}
-        }
-    }
+    // Seeded exactly like the offline engine: departures are
+    // synthesized from each placement, not read from the trace.
+    let mut queue = EventQueue::from_workload(workload);
 
     let mut summary = ReplaySummary::default();
     while let Some((t, event)) = queue.pop() {

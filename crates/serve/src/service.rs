@@ -29,7 +29,9 @@ use slackvm_telemetry::{
 
 use crate::error::ServeError;
 use crate::request::{Op, Outcome, Reply, ServeConfig};
-use crate::shard::{ms_since, Msg, Request, ShardGauges, ShardReport, ShardSummary, Worker};
+use crate::shard::{
+    ms_since, Msg, Plane, PlaneTick, Request, ShardGauges, ShardReport, ShardSummary, Worker,
+};
 
 /// Mints a request-scoped trace ID from a sequence number: splitmix64
 /// masked to 48 bits (so IDs survive JSON round trips as exact
@@ -624,31 +626,23 @@ impl PlacementService {
     /// the tick skipped as disabled. Requests already queued ahead of
     /// the trigger may execute after the tick — the trigger is a
     /// consolidation nudge, not a barrier.
-    pub fn trigger_rebalance(
-        &self,
-        shard: u32,
-    ) -> Result<crate::shard::RebalanceTick, ServeError> {
-        let (tx, rx) = mpsc::channel();
-        self.senders
-            .get(shard as usize)
-            .ok_or_else(|| ServeError::Config(format!("no shard {shard}")))?
-            .send(Msg::Rebalance(tx))
-            .map_err(|_| ServeError::Disconnected)?;
-        rx.recv().map_err(|_| ServeError::Disconnected)
+    pub fn trigger_rebalance(&self, shard: u32) -> Result<PlaneTick, ServeError> {
+        self.trigger(shard, Plane::Rebalance)
     }
 
-    /// Runs one pressure (hotspot-mitigation) tick on shard `shard`
-    /// right now, bypassing the configured interval (the safety
-    /// interlocks still apply), and blocks for its outcome. A worker
-    /// started without
-    /// [`ServeConfig::pressure`](crate::request::ServeConfig) reports
-    /// the tick skipped as disabled.
-    pub fn trigger_pressure(&self, shard: u32) -> Result<crate::shard::PressureTick, ServeError> {
+    /// [`Self::trigger_rebalance`] for the pressure (hotspot-mitigation)
+    /// plane, configured by
+    /// [`ServeConfig::pressure`](crate::request::ServeConfig).
+    pub fn trigger_pressure(&self, shard: u32) -> Result<PlaneTick, ServeError> {
+        self.trigger(shard, Plane::Pressure)
+    }
+
+    fn trigger(&self, shard: u32, plane: Plane) -> Result<PlaneTick, ServeError> {
         let (tx, rx) = mpsc::channel();
         self.senders
             .get(shard as usize)
             .ok_or_else(|| ServeError::Config(format!("no shard {shard}")))?
-            .send(Msg::Pressure(tx))
+            .send(Msg::Tick(plane, tx))
             .map_err(|_| ServeError::Disconnected)?;
         rx.recv().map_err(|_| ServeError::Disconnected)
     }
@@ -965,47 +959,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_tick_honors_its_interlocks() {
-        use crate::request::RebalanceOptions;
-        use crate::shard::RebalanceSkip;
-        use slackvm_model::PmId;
-        // No rebalance configured: the trigger reports it disabled.
-        let svc = PlacementService::start(small_config(1)).unwrap();
-        let tick = svc.trigger_rebalance(0).unwrap();
-        assert_eq!(tick.skipped, Some(RebalanceSkip::Disabled));
-        svc.stop();
-
-        let config = ServeConfig {
-            rebalance: Some(RebalanceOptions {
-                every: Duration::from_secs(3600),
-                ..RebalanceOptions::default()
-            }),
-            ..small_config(1)
-        };
-        let svc = PlacementService::start(config).unwrap();
-        svc.call(Op::Place {
-            id: VmId(0),
-            spec: VmSpec::of(2, gib(4), OversubLevel::of(1)),
-        })
-        .unwrap();
-        svc.call(Op::DrainPm {
-            shard: 0,
-            pm: PmId(0),
-        })
-        .unwrap();
-        let tick = svc.trigger_rebalance(0).unwrap();
-        assert_eq!(tick.skipped, Some(RebalanceSkip::Draining));
-        svc.call(Op::RecoverPm {
-            shard: 0,
-            pm: PmId(0),
-        })
-        .unwrap();
-        let tick = svc.trigger_rebalance(0).unwrap();
-        assert_eq!(tick.skipped, None, "recovering the PM resumes ticks");
-        svc.stop();
-    }
-
-    #[test]
     fn pressure_tick_spreads_a_hotspot_onto_a_cold_pm() {
         use crate::request::PressureOptions;
         use slackvm_model::PmId;
@@ -1066,44 +1019,69 @@ mod tests {
     }
 
     #[test]
-    fn pressure_tick_honors_its_interlocks() {
-        use crate::request::PressureOptions;
-        use crate::shard::PressureSkip;
+    fn plane_ticks_honor_every_interlock() {
+        use crate::request::{PressureOptions, RebalanceOptions};
+        use crate::shard::TickSkip;
+        use slackvm_durable::DurableOptions;
         use slackvm_model::PmId;
-        // No pressure plane configured: the trigger reports it disabled.
-        let svc = PlacementService::start(small_config(1)).unwrap();
-        let tick = svc.trigger_pressure(0).unwrap();
-        assert_eq!(tick.skipped, Some(PressureSkip::Disabled));
-        svc.stop();
+        let (shard, pm) = (0, PmId(0));
+        for plane in [Plane::Rebalance, Plane::Pressure] {
+            // Plane not configured: the trigger reports it disabled.
+            let svc = PlacementService::start(small_config(1)).unwrap();
+            let tick = svc.trigger(shard, plane).unwrap();
+            assert_eq!(tick.skipped, Some(TickSkip::Disabled), "{plane:?}");
+            svc.stop();
 
-        let config = ServeConfig {
-            pressure: Some(PressureOptions {
-                every: Duration::from_secs(3600),
-                ..PressureOptions::default()
-            }),
-            ..small_config(1)
-        };
-        let svc = PlacementService::start(config).unwrap();
-        svc.call(Op::Place {
-            id: VmId(0),
-            spec: VmSpec::of(2, gib(4), OversubLevel::of(1)),
-        })
-        .unwrap();
-        svc.call(Op::DrainPm {
-            shard: 0,
-            pm: PmId(0),
-        })
-        .unwrap();
-        let tick = svc.trigger_pressure(0).unwrap();
-        assert_eq!(tick.skipped, Some(PressureSkip::Draining));
-        svc.call(Op::RecoverPm {
-            shard: 0,
-            pm: PmId(0),
-        })
-        .unwrap();
-        let tick = svc.trigger_pressure(0).unwrap();
-        assert_eq!(tick.skipped, None, "recovering the PM resumes ticks");
-        svc.stop();
+            // Both planes on, explicit triggers only, journalled so the
+            // degraded interlock has a journal to lose.
+            let dir = std::env::temp_dir().join(format!(
+                "slackvm-serve-interlocks-{plane:?}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let every = Duration::from_secs(3600);
+            let config = ServeConfig {
+                rebalance: Some(RebalanceOptions {
+                    every,
+                    ..RebalanceOptions::default()
+                }),
+                pressure: Some(PressureOptions {
+                    every,
+                    ..PressureOptions::default()
+                }),
+                durable: Some(DurableOptions::new(&dir)),
+                ..small_config(1)
+            };
+            let svc = PlacementService::start(config).unwrap();
+            svc.call(Op::Place {
+                id: VmId(0),
+                spec: VmSpec::of(2, gib(4), OversubLevel::of(1)),
+            })
+            .unwrap();
+            // Each row: take the PM down one way, expect that skip,
+            // bring it back.
+            for (down, want) in [
+                (Op::DrainPm { shard, pm }, TickSkip::Draining),
+                (Op::FailPm { shard, pm }, TickSkip::FailedPms),
+            ] {
+                svc.call(down).unwrap();
+                let tick = svc.trigger(shard, plane).unwrap();
+                assert_eq!(tick.skipped, Some(want), "{plane:?}");
+                assert_eq!(tick.migrations, 0);
+                svc.call(Op::RecoverPm { shard, pm }).unwrap();
+                let tick = svc.trigger(shard, plane).unwrap();
+                assert_eq!(
+                    tick.skipped, None,
+                    "{plane:?}: recovering the PM resumes ticks"
+                );
+            }
+            // Journal-degraded has no way back short of a restart.
+            svc.inject_journal_degraded(shard).unwrap();
+            let tick = svc.trigger(shard, plane).unwrap();
+            assert_eq!(tick.skipped, Some(TickSkip::JournalDegraded), "{plane:?}");
+            svc.stop();
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -25,11 +25,6 @@ use slackvm_telemetry::{MetricsRegistry, SloTracker, SlowOpsDigest, TraceBuilder
 
 use crate::request::{Op, Outcome, PressureOptions, RebalanceOptions, Reply, TraceLevel};
 
-/// Microseconds elapsed since the service's trace epoch.
-pub(crate) fn us_since(epoch: Instant) -> u64 {
-    epoch.elapsed().as_micros() as u64
-}
-
 /// Milliseconds elapsed since the service's trace epoch.
 pub(crate) fn ms_since(epoch: Instant) -> u64 {
     epoch.elapsed().as_millis() as u64
@@ -74,20 +69,45 @@ pub(crate) enum Msg {
     /// mode can be exercised without an actual disk fault.
     #[allow(dead_code)]
     DegradeJournal,
-    /// Run one rebalance tick right now, bypassing the interval (the
-    /// safety interlocks still apply), and report what it did. Runs
-    /// inline at message-drain time: requests already drained into the
-    /// current batch execute after the tick.
-    Rebalance(Sender<RebalanceTick>),
-    /// Run one pressure (hotspot-mitigation) tick right now, bypassing
-    /// the interval; the same safety interlocks apply.
-    Pressure(Sender<PressureTick>),
+    /// Run one tick of a background plane right now, bypassing its
+    /// interval (the safety interlocks still apply), and report what it
+    /// did. Runs inline at message-drain time: requests already drained
+    /// into the current batch execute after the tick.
+    Tick(Plane, Sender<PlaneTick>),
 }
 
-/// Why a rebalance tick declined to plan.
+/// A background plane of the shard worker. Both planes run through
+/// [`Worker::plane_tick`]; they differ in how a tick plans its moves and
+/// in what it accounts for afterwards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RebalanceSkip {
-    /// The worker was started without rebalancing configured.
+pub(crate) enum Plane {
+    /// Consolidation: drain the least-utilized PMs (`slackvm_rebalance`).
+    Rebalance,
+    /// Hotspot mitigation: spread hot PMs onto cold ones
+    /// (`slackvm_pressure`).
+    Pressure,
+}
+
+impl Plane {
+    /// The plane's metric names: plans counter, planning-time
+    /// histogram, migrations counter.
+    fn metric_names(self) -> [&'static str; 3] {
+        match self {
+            Plane::Rebalance => [
+                "rebalance.plans",
+                "rebalance.plan_us",
+                "rebalance.migrations",
+            ],
+            Plane::Pressure => ["pressure.plans", "pressure.plan_us", "pressure.migrations"],
+        }
+    }
+}
+
+/// Why a background-plane tick declined to plan: background work yields
+/// to anything more important the shard is doing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TickSkip {
+    /// The worker was started without this plane configured.
     Disabled,
     /// A PM on the shard is draining for maintenance.
     Draining,
@@ -99,51 +119,21 @@ pub enum RebalanceSkip {
     SloBurn,
 }
 
-/// What one online rebalance tick did.
+/// What one online background-plane tick did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RebalanceTick {
+pub struct PlaneTick {
     /// `Some` when the tick declined to plan (and why); `None` when a
     /// planning pass ran, even one that found nothing to move.
-    pub skipped: Option<RebalanceSkip>,
+    pub skipped: Option<TickSkip>,
     /// Migrations executed this tick.
     pub migrations: u32,
-    /// PMs drained to empty this tick.
-    pub pms_freed: u32,
     /// Moves the plan wanted beyond this tick's concurrency throttle —
     /// the next tick re-plans and picks them up.
     pub deferred: u32,
-}
-
-/// Why a pressure tick declined to plan. Same pauses as
-/// [`RebalanceSkip`]: mitigation is background work and yields to
-/// anything more important the shard is doing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PressureSkip {
-    /// The worker was started without the pressure plane configured.
-    Disabled,
-    /// A PM on the shard is draining for maintenance.
-    Draining,
-    /// A PM on the shard is failed and not yet recovered.
-    FailedPms,
-    /// The shard serves without durability after a journal failure.
-    JournalDegraded,
-    /// The SLO tracker reports error-budget burn or a latency miss.
-    SloBurn,
-}
-
-/// What one online pressure tick did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PressureTick {
-    /// `Some` when the tick declined to plan (and why); `None` when a
-    /// scoring pass ran, even one that found no hot PM.
-    pub skipped: Option<PressureSkip>,
-    /// Hot PMs observed at the start of the tick.
+    /// PMs drained to empty this tick (consolidation ticks).
+    pub pms_freed: u32,
+    /// Hot PMs observed at the start of the tick (pressure ticks).
     pub hot_pms: u32,
-    /// Spread-out migrations executed this tick.
-    pub migrations: u32,
-    /// Moves the plan wanted beyond this tick's concurrency throttle —
-    /// the next tick re-scores and picks them up.
-    pub deferred: u32,
 }
 
 /// A shard's lock-free scoreboard: queue depth and coarse utilization,
@@ -521,11 +511,8 @@ impl Worker {
                     // the `/healthz` watchdog can tell idle from wedged.
                     Err(RecvTimeoutError::Timeout) => {
                         self.beat();
-                        // Interlock: mitigation and consolidation pull
-                        // in opposite directions — if a pressure tick
-                        // ran, consolidation waits for the next turn.
-                        if !self.maybe_pressure() {
-                            self.maybe_rebalance();
+                        if let Some(plane) = self.due() {
+                            self.plane_tick(plane);
                         }
                         continue;
                     }
@@ -542,12 +529,8 @@ impl Worker {
                     // worker stuck in a pathological placement would.
                     Msg::Stall(d) => std::thread::sleep(d),
                     Msg::DegradeJournal => self.journal_failure("append", None),
-                    Msg::Rebalance(ack) => {
-                        let tick = self.rebalance_tick();
-                        let _ = ack.send(tick);
-                    }
-                    Msg::Pressure(ack) => {
-                        let tick = self.pressure_tick();
+                    Msg::Tick(plane, ack) => {
+                        let tick = self.plane_tick(plane);
                         let _ = ack.send(tick);
                     }
                 }
@@ -618,12 +601,13 @@ impl Worker {
                 }
             }
             // Background planes interleave with admission: the interval
-            // checks are a few clock reads, a tick itself only runs
-            // when due — and never while the worker is draining to
-            // exit. Pressure preempts consolidation (see interlock
-            // note above).
-            if !draining && !self.maybe_pressure() {
-                self.maybe_rebalance();
+            // check is a clock read per configured plane, a tick itself
+            // only runs when due — and never while the worker is
+            // draining to exit.
+            if !draining {
+                if let Some(plane) = self.due() {
+                    self.plane_tick(plane);
+                }
             }
             self.beat();
         }
@@ -648,212 +632,38 @@ impl Worker {
         self.summaries[self.idx as usize].heartbeat(ms_since(self.epoch));
     }
 
-    /// Runs a rebalance tick if one is configured and due.
-    fn maybe_rebalance(&mut self) {
-        let due = match &self.rebalance {
-            Some(opts) => self.last_rebalance.elapsed() >= opts.every,
-            None => false,
-        };
-        if due {
-            self.rebalance_tick();
-        }
-    }
-
-    /// Runs a pressure tick if one is configured and due. Returns
-    /// whether a tick ran — the caller then skips consolidation for
-    /// this turn (mitigation preempts it).
-    fn maybe_pressure(&mut self) -> bool {
-        let due = match &self.pressure {
-            Some(opts) => self.last_pressure.elapsed() >= opts.every,
-            None => false,
-        };
-        if due {
-            self.pressure_tick();
-        }
-        due
-    }
-
-    /// One online hotspot-mitigation pass: feed the synthesized usage
-    /// signal into the per-VM estimators, score the fleet, and execute
-    /// at most `budget.max_concurrent` spread-out moves from the
-    /// mitigation plan — journalled as migrations like consolidation,
-    /// so `recover`/`fsck` replay the same history. The same safety
-    /// interlocks as [`Worker::rebalance_tick`] pause the plane.
-    fn pressure_tick(&mut self) -> PressureTick {
-        self.last_pressure = Instant::now();
-        let Some(opts) = self.pressure.clone() else {
-            return PressureTick {
-                skipped: Some(PressureSkip::Disabled),
-                ..PressureTick::default()
-            };
-        };
-        let skip = if !self.draining.is_empty() {
-            Some(PressureSkip::Draining)
-        } else if self.model.failed_pms() > 0 {
-            Some(PressureSkip::FailedPms)
-        } else if self.summaries[self.idx as usize].journal_degraded() {
-            Some(PressureSkip::JournalDegraded)
+    /// The plane whose interval has elapsed, if any — at most one per
+    /// loop turn. Mitigation and consolidation pull in opposite
+    /// directions, so pressure preempts: consolidation waits for a turn
+    /// on which no pressure tick is due. Reads no clock when no plane
+    /// is configured.
+    fn due(&self) -> Option<Plane> {
+        let pressure = self
+            .pressure
+            .as_ref()
+            .map(|o| (o.every, self.last_pressure));
+        let rebalance = self
+            .rebalance
+            .as_ref()
+            .map(|o| (o.every, self.last_rebalance));
+        if pressure.is_some_and(|(every, last)| last.elapsed() >= every) {
+            Some(Plane::Pressure)
+        } else if rebalance.is_some_and(|(every, last)| last.elapsed() >= every) {
+            Some(Plane::Rebalance)
         } else {
-            let report = self
-                .slo
-                .lock()
-                .expect("slo lock")
-                .report(ms_since(self.epoch));
-            (!report.healthy()).then_some(PressureSkip::SloBurn)
-        };
-        if skip.is_some() {
-            return PressureTick {
-                skipped: skip,
-                ..PressureTick::default()
-            };
-        }
-        let started = Instant::now();
-        let (seed, hot_frac) = (opts.usage_seed, opts.hot_frac);
-        slackvm_pressure::observe_model(&mut self.usage, &self.model, |vm| {
-            slackvm_pressure::synth_frac(seed, vm, hot_frac)
-        });
-        let planned = {
-            let tracker = &self.usage;
-            slackvm_pressure::plan_mitigation_avoiding(
-                &self.model,
-                &opts.thresholds,
-                &opts.budget,
-                &|vm| tracker.demand(vm),
-                &self.draining,
-                &self.pressure_states,
-            )
-        };
-        {
-            let mut m = self.metrics.lock().expect("metrics lock");
-            m.inc("pressure.plans", 1);
-            m.observe("pressure.plan_us", started.elapsed().as_micros() as f64);
-        }
-        let done = PressureTick::default();
-        let Ok(plan) = planned else { return done };
-        let hot = plan.hot_before;
-        let summary = &self.summaries[self.idx as usize];
-        if plan.is_empty() {
-            summary.note_pressure(0, hot as u64);
-            self.metrics
-                .lock()
-                .expect("metrics lock")
-                .set_gauge("pressure.hot_pms", hot as f64);
-            self.pressure_states = plan.states_after;
-            return PressureTick {
-                skipped: None,
-                hot_pms: hot,
-                ..done
-            };
-        }
-        // Planned against the model this thread exclusively owns, so it
-        // cannot be stale — but checked, not trusted.
-        if slackvm_rebalance::validate_plan_avoiding(&self.model, &plan.plan, &self.draining)
-            .is_err()
-        {
-            return done;
-        }
-        let throttle = (opts.budget.max_concurrent as usize).min(plan.plan.moves.len());
-        let mut migrated = 0u32;
-        let mut journal: Vec<(WalOp, WalOutcome)> = Vec::new();
-        for mv in plan.plan.moves.iter().take(throttle) {
-            match self.model.migrate(mv.vm, mv.to) {
-                Ok(from) if from == mv.from => {
-                    migrated += 1;
-                    if self.durable.is_some() {
-                        journal.push((
-                            WalOp::Migrate {
-                                id: mv.vm,
-                                from,
-                                to: mv.to,
-                            },
-                            WalOutcome::Migrated,
-                        ));
-                    }
-                }
-                Ok(from) => {
-                    let _ = self.model.migrate(mv.vm, from);
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        if !journal.is_empty() {
-            let mut failure = None;
-            for (op, outcome) in journal {
-                match self
-                    .durable
-                    .as_mut()
-                    .expect("journal entries imply durable")
-                    .append(op, outcome)
-                {
-                    Ok(_) => {}
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = failure {
-                self.journal_failure("append", Some(&e));
-            }
-            // Spread-out migrations reach stable storage before the
-            // tick reports itself done, exactly like an admission batch.
-            if let Some(Err(e)) = self.durable.as_mut().map(|d| d.commit()) {
-                self.journal_failure("commit", Some(&e));
-            }
-        }
-        // Re-score the live model (a throttled tick executed only a
-        // prefix of the plan, so the plan's predicted states may run
-        // ahead of reality) for the next tick's hysteresis memory.
-        self.pressure_states = {
-            let tracker = &self.usage;
-            slackvm_pressure::score_pressure(
-                &self.model,
-                &opts.thresholds,
-                &|vm| tracker.demand(vm),
-                &self.pressure_states,
-            )
-            .states()
-        };
-        {
-            let mut m = self.metrics.lock().expect("metrics lock");
-            if migrated > 0 {
-                m.inc("pressure.migrations", migrated as u64);
-            }
-            m.set_gauge("pressure.hot_pms", hot as f64);
-        }
-        let summary = &self.summaries[self.idx as usize];
-        summary.note_pressure(migrated as u64, hot as u64);
-        let (alloc, cap) = self.model.totals();
-        summary.refresh(self.model.opened_pms() as u64, alloc, cap);
-        PressureTick {
-            skipped: None,
-            hot_pms: hot,
-            migrations: migrated,
-            deferred: (plan.plan.moves.len() - throttle) as u32,
+            None
         }
     }
 
-    /// One online consolidation pass: plan against the live model this
-    /// worker exclusively owns, validate, then execute at most
-    /// `budget.max_concurrent` moves — journalled like any admission
-    /// decision, so `recover`/`fsck` replay the same history. The
-    /// safety interlocks pause consolidation whenever the shard has
-    /// anything more important going on.
-    fn rebalance_tick(&mut self) -> RebalanceTick {
-        self.last_rebalance = Instant::now();
-        let Some(opts) = self.rebalance.clone() else {
-            return RebalanceTick {
-                skipped: Some(RebalanceSkip::Disabled),
-                ..RebalanceTick::default()
-            };
-        };
-        let skip = if !self.draining.is_empty() {
-            Some(RebalanceSkip::Draining)
+    /// The safety interlocks: a background plane pauses whenever the
+    /// shard has anything more important going on.
+    fn interlock(&self) -> Option<TickSkip> {
+        if !self.draining.is_empty() {
+            Some(TickSkip::Draining)
         } else if self.model.failed_pms() > 0 {
-            Some(RebalanceSkip::FailedPms)
+            Some(TickSkip::FailedPms)
         } else if self.summaries[self.idx as usize].journal_degraded() {
-            Some(RebalanceSkip::JournalDegraded)
+            Some(TickSkip::JournalDegraded)
         } else {
             let report = self
                 .slo
@@ -861,38 +671,93 @@ impl Worker {
                 .expect("slo lock")
                 .report(ms_since(self.epoch));
             // An empty window scores healthy; only observed burn pauses.
-            (!report.healthy()).then_some(RebalanceSkip::SloBurn)
-        };
-        if skip.is_some() {
-            return RebalanceTick {
-                skipped: skip,
-                ..RebalanceTick::default()
-            };
+            (!report.healthy()).then_some(TickSkip::SloBurn)
         }
+    }
+
+    /// One online pass of a background plane: plan against the live
+    /// model this worker exclusively owns, validate, then execute at
+    /// most `budget.max_concurrent` moves — journalled like any
+    /// admission decision, so `recover`/`fsck` replay the same history.
+    ///
+    /// Only two steps differ per plane. *Planning*: consolidation asks
+    /// `slackvm_rebalance` for a drain of the least-utilized PMs;
+    /// mitigation first feeds the synthesized usage signal into the
+    /// per-VM estimators, then asks `slackvm_pressure` for a spread-out
+    /// of the hot PMs. *Accounting*: consolidation counts the PMs it
+    /// freed; mitigation publishes the hot-PM count and refreshes the
+    /// hysteresis memory the next tick classifies against.
+    fn plane_tick(&mut self, plane: Plane) -> PlaneTick {
+        let budget = match plane {
+            Plane::Rebalance => {
+                self.last_rebalance = Instant::now();
+                self.rebalance.as_ref().map(|o| o.budget)
+            }
+            Plane::Pressure => {
+                self.last_pressure = Instant::now();
+                self.pressure.as_ref().map(|o| o.budget)
+            }
+        };
+        let skipped = |why| PlaneTick {
+            skipped: Some(why),
+            ..PlaneTick::default()
+        };
+        let Some(budget) = budget else {
+            return skipped(TickSkip::Disabled);
+        };
+        if let Some(why) = self.interlock() {
+            return skipped(why);
+        }
+
+        let [plans, plan_us, migrations] = plane.metric_names();
         let started = Instant::now();
-        let planned = slackvm_rebalance::plan_rebalance_avoiding(
-            &self.model,
-            &opts.budget,
-            &self.draining,
-        );
+        // A pressure plan's hot-PM count and predicted classification.
+        let mut pressure_view = None;
+        let planned = match plane {
+            Plane::Rebalance => {
+                slackvm_rebalance::plan_rebalance_avoiding(&self.model, &budget, &self.draining)
+            }
+            Plane::Pressure => {
+                let opts = self.pressure.as_ref().expect("the budget came from it");
+                let (seed, hot_frac) = (opts.usage_seed, opts.hot_frac);
+                slackvm_pressure::observe_model(&mut self.usage, &self.model, |vm| {
+                    slackvm_pressure::synth_frac(seed, vm, hot_frac)
+                });
+                let tracker = &self.usage;
+                slackvm_pressure::plan_mitigation_avoiding(
+                    &self.model,
+                    &opts.thresholds,
+                    &budget,
+                    &|vm| tracker.demand(vm),
+                    &self.draining,
+                    &self.pressure_states,
+                )
+                .map(|mitigation| {
+                    pressure_view = Some((mitigation.hot_before, mitigation.states_after));
+                    mitigation.plan
+                })
+            }
+        };
         {
             let mut m = self.metrics.lock().expect("metrics lock");
-            m.inc("rebalance.plans", 1);
-            m.observe("rebalance.plan_us", started.elapsed().as_micros() as f64);
+            m.inc(plans, 1);
+            m.observe(plan_us, started.elapsed().as_micros() as f64);
         }
-        let done = RebalanceTick::default();
-        let Ok(plan) = planned else { return done };
-        if plan.is_empty() {
-            return done;
+        let Ok(plan) = planned else {
+            return PlaneTick::default();
+        };
+        // Planned against the model this thread exclusively owns, so it
+        // cannot be stale — but invariants are checked, not trusted:
+        // execution still goes through the validator.
+        if !plan.is_empty()
+            && slackvm_rebalance::validate_plan_avoiding(&self.model, &plan, &self.draining)
+                .is_err()
+        {
+            return PlaneTick::default();
         }
-        // The plan was made against the model this thread exclusively
-        // owns, so it cannot be stale — but invariants are checked, not
-        // trusted: execution still goes through the validator.
-        if slackvm_rebalance::validate_plan_avoiding(&self.model, &plan, &self.draining).is_err() {
-            return done;
-        }
-        let before = self.model.active_pms();
-        let throttle = (opts.budget.max_concurrent as usize).min(plan.moves.len());
+
+        let active_before = self.model.active_pms();
+        let throttle = (budget.max_concurrent as usize).min(plan.moves.len());
         let mut migrated = 0u32;
         let mut journal: Vec<(WalOp, WalOutcome)> = Vec::new();
         for mv in plan.moves.iter().take(throttle) {
@@ -920,50 +785,70 @@ impl Worker {
             }
         }
         if !journal.is_empty() {
-            let mut failure = None;
-            for (op, outcome) in journal {
-                match self
-                    .durable
-                    .as_mut()
-                    .expect("journal entries imply durable")
-                    .append(op, outcome)
-                {
-                    Ok(_) => {}
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = failure {
-                self.journal_failure("append", Some(&e));
-            }
+            self.append_all(journal);
             // Migrations reach stable storage before the tick reports
             // itself done, exactly like an admission batch.
             if let Some(Err(e)) = self.durable.as_mut().map(|d| d.commit()) {
                 self.journal_failure("commit", Some(&e));
             }
         }
-        let freed = before.saturating_sub(self.model.active_pms());
-        {
-            let mut m = self.metrics.lock().expect("metrics lock");
-            if migrated > 0 {
-                m.inc("rebalance.migrations", migrated as u64);
-            }
-            if freed > 0 {
-                m.inc("rebalance.pms_freed", freed as u64);
-            }
-        }
-        let summary = &self.summaries[self.idx as usize];
-        summary.note_rebalanced(migrated as u64, freed as u64);
-        let (alloc, cap) = self.model.totals();
-        summary.refresh(self.model.opened_pms() as u64, alloc, cap);
-        RebalanceTick {
+
+        let mut tick = PlaneTick {
             skipped: None,
             migrations: migrated,
-            pms_freed: freed,
             deferred: (plan.moves.len() - throttle) as u32,
+            ..PlaneTick::default()
+        };
+        let summary = &self.summaries[self.idx as usize];
+        if migrated > 0 {
+            self.metrics
+                .lock()
+                .expect("metrics lock")
+                .inc(migrations, migrated as u64);
         }
+        match plane {
+            Plane::Rebalance => {
+                let freed = active_before.saturating_sub(self.model.active_pms());
+                tick.pms_freed = freed;
+                if freed > 0 {
+                    self.metrics
+                        .lock()
+                        .expect("metrics lock")
+                        .inc("rebalance.pms_freed", freed as u64);
+                }
+                summary.note_rebalanced(migrated as u64, freed as u64);
+            }
+            Plane::Pressure => {
+                let (hot, predicted) = pressure_view.expect("set by a successful pressure plan");
+                tick.hot_pms = hot;
+                self.pressure_states = if plan.is_empty() {
+                    predicted
+                } else {
+                    // A throttled tick executed only a prefix of the
+                    // plan, so the predicted states may run ahead of
+                    // reality: re-score the live model instead.
+                    let opts = self.pressure.as_ref().expect("checked on entry");
+                    let tracker = &self.usage;
+                    slackvm_pressure::score_pressure(
+                        &self.model,
+                        &opts.thresholds,
+                        &|vm| tracker.demand(vm),
+                        &self.pressure_states,
+                    )
+                    .states()
+                };
+                self.metrics
+                    .lock()
+                    .expect("metrics lock")
+                    .set_gauge("pressure.hot_pms", hot as f64);
+                summary.note_pressure(migrated as u64, hot as u64);
+            }
+        }
+        if migrated > 0 {
+            let (alloc, cap) = self.model.totals();
+            summary.refresh(self.model.opened_pms() as u64, alloc, cap);
+        }
+        tick
     }
 
     /// Folds the batch's sampled lifecycles into the shared span sink
@@ -1206,23 +1091,30 @@ impl Worker {
         let down = self.model.failed_pms() as u64;
         let draining_now = self.draining.len() as u64;
         summary.set_pm_health(down.saturating_sub(draining_now), draining_now);
-        if self.durable.is_some() {
-            let mut failure = None;
-            let wal = std::mem::take(&mut stats.wal);
-            for (op, outcome) in wal {
-                match self.durable.as_mut().expect("durable checked above").append(op, outcome) {
-                    Ok(bytes) => stats.wal_bytes += bytes,
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
+        stats.wal_bytes = self.append_all(std::mem::take(&mut stats.wal));
+        stats
+    }
+
+    /// Appends decisions to the journal in execution order, returning
+    /// the bytes written. The first write failure stops the appends and
+    /// fail-stops or degrades the shard (see
+    /// [`Worker::journal_failure`]). `entries` is empty whenever the
+    /// shard is not durable.
+    fn append_all(&mut self, entries: Vec<(WalOp, WalOutcome)>) -> u64 {
+        let mut bytes = 0;
+        for (op, outcome) in entries {
+            let Some(durable) = self.durable.as_mut() else {
+                break;
+            };
+            match durable.append(op, outcome) {
+                Ok(n) => bytes += n,
+                Err(e) => {
+                    self.journal_failure("append", Some(&e));
+                    break;
                 }
             }
-            if let Some(e) = failure {
-                self.journal_failure("append", Some(&e));
-            }
         }
-        stats
+        bytes
     }
 
     /// Re-places the VMs a failed (or draining) host displaced, through

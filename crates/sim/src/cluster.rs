@@ -8,23 +8,24 @@ use slackvm_sched::{AdmissionKey, Candidate, CandidateIndex, IndexMode, Placemen
 
 use crate::error::SimError;
 
-/// The candidate view of a host, as the control plane gathers it.
-fn candidate_of<H: Host>(host: &H) -> Candidate {
-    Candidate {
-        id: host.id(),
-        config: host.config(),
-        alloc: host.alloc(),
-        vms: host.num_vms(),
-    }
-}
-
-/// The index key for a host: its conservative admission headroom.
-fn admission_key_of<H: Host>(host: &H) -> AdmissionKey {
+/// A host's placement-index entry: the candidate view the control
+/// plane gathers, keyed by the host's conservative admission headroom.
+/// The cluster and both background planners index hosts through this
+/// one mapping.
+pub fn index_entry<H: Host>(host: &H) -> (Candidate, AdmissionKey) {
     let headroom = host.admission_headroom();
-    AdmissionKey {
-        free_mem_mib: headroom.free_mem_mib,
-        free_vcpus: headroom.free_vcpus,
-    }
+    (
+        Candidate {
+            id: host.id(),
+            config: host.config(),
+            alloc: host.alloc(),
+            vms: host.num_vms(),
+        },
+        AdmissionKey {
+            free_mem_mib: headroom.free_mem_mib,
+            free_vcpus: headroom.free_vcpus,
+        },
+    )
 }
 
 /// A growable pool of hosts of one concrete type.
@@ -107,6 +108,21 @@ impl<H: Host> Cluster<H> {
         &mut self.hosts
     }
 
+    /// The host with id `pm`, if opened. Hosts are dense by [`PmId`]
+    /// (the factory numbers them in opening order), so this is an
+    /// index, not a scan.
+    pub fn host(&self, pm: PmId) -> Option<&H> {
+        let host = self.hosts.get(pm.0 as usize);
+        debug_assert!(host.is_none_or(|h| h.id() == pm), "hosts are dense by PmId");
+        host
+    }
+
+    /// Mutable [`Cluster::host`] for the cluster's own mutators, which
+    /// refresh the host's index slot themselves.
+    fn host_mut(&mut self, pm: PmId) -> Option<&mut H> {
+        self.hosts.get_mut(pm.0 as usize)
+    }
+
     /// Rebuilds the index from every non-failed host if it went stale.
     fn sync_index(&mut self) {
         if self.index_synced {
@@ -115,8 +131,8 @@ impl<H: Host> Cluster<H> {
         self.index.clear();
         for host in &self.hosts {
             if !self.failed.contains(&host.id()) {
-                self.index
-                    .upsert(candidate_of(host), admission_key_of(host));
+                let (candidate, key) = index_entry(host);
+                self.index.upsert(candidate, key);
             }
         }
         self.index_synced = true;
@@ -133,10 +149,8 @@ impl<H: Host> Cluster<H> {
             self.index.retire(pm);
             return;
         }
-        if let Some(host) = self.hosts.get(pm.0 as usize) {
-            debug_assert_eq!(host.id(), pm, "hosts are dense by PmId");
-            self.index
-                .upsert(candidate_of(host), admission_key_of(host));
+        if let Some((candidate, key)) = self.host(pm).map(index_entry) {
+            self.index.upsert(candidate, key);
         }
     }
 
@@ -250,7 +264,7 @@ impl<H: Host> Cluster<H> {
                     .hosts
                     .iter()
                     .filter(|h| !self.failed.contains(&h.id()) && h.can_host(&spec))
-                    .map(candidate_of)
+                    .map(|h| index_entry(h).0)
                     .collect();
                 policy.select_recorded(&candidates, &spec, recorder)
             }
@@ -258,12 +272,9 @@ impl<H: Host> Cluster<H> {
         };
 
         if let Some(pm) = picked {
-            let host = self
-                .hosts
-                .iter_mut()
-                .find(|h| h.id() == pm)
-                .expect("candidate came from this cluster");
-            host.deploy(id, spec)
+            self.host_mut(pm)
+                .expect("candidate came from this cluster")
+                .deploy(id, spec)
                 .expect("can_host was checked during filtering");
             self.placements.insert(id, pm);
             self.refresh_slot(pm);
@@ -286,49 +297,6 @@ impl<H: Host> Cluster<H> {
         if recorder.enabled() {
             recorder.record(time_secs, slackvm_telemetry::Event::PmOpened { pm });
         }
-        Ok(pm)
-    }
-
-    /// Places a VM through a full [`slackvm_sched::Scheduler`] pipeline (hard-constraint
-    /// filters + policy) instead of a bare policy. Filters apply to
-    /// *existing* hosts only; when every host is filtered out a new one
-    /// opens, exactly as with [`Cluster::deploy`].
-    pub fn deploy_scheduled(
-        &mut self,
-        id: VmId,
-        spec: VmSpec,
-        scheduler: &slackvm_sched::Scheduler,
-    ) -> Result<PmId, SimError> {
-        let candidates: Vec<Candidate> = self
-            .hosts
-            .iter()
-            .filter(|h| !self.failed.contains(&h.id()) && h.can_host(&spec))
-            .map(candidate_of)
-            .collect();
-        if let Some(pm) = scheduler.place(&candidates, &spec) {
-            let host = self
-                .hosts
-                .iter_mut()
-                .find(|h| h.id() == pm)
-                .expect("candidate came from this cluster");
-            host.deploy(id, spec)
-                .expect("can_host was checked during filtering");
-            self.placements.insert(id, pm);
-            self.refresh_slot(pm);
-            return Ok(pm);
-        }
-        if let Some(max) = self.max_hosts {
-            if self.opened() >= max {
-                return Err(SimError::DeploymentFailed(id));
-            }
-        }
-        let pm = PmId(self.hosts.len() as u32);
-        let mut host = (self.factory)(pm);
-        host.deploy(id, spec)
-            .map_err(|_| SimError::Unsatisfiable(id))?;
-        self.hosts.push(host);
-        self.placements.insert(id, pm);
-        self.refresh_slot(pm);
         Ok(pm)
     }
 
@@ -357,17 +325,11 @@ impl<H: Host> Cluster<H> {
         // The host trait has no spec lookup, so lift the VM off its
         // source and roll back if the destination refuses it.
         let spec = self
-            .hosts
-            .iter_mut()
-            .find(|h| h.id() == from)
+            .host_mut(from)
             .expect("placement map is consistent")
             .remove(id)
             .expect("placement map is consistent");
-        let dest = self
-            .hosts
-            .iter_mut()
-            .find(|h| h.id() == to)
-            .expect("destination bounds-checked above");
+        let dest = self.host_mut(to).expect("destination bounds-checked above");
         if dest.can_host(&spec) {
             dest.deploy(id, spec).expect("can_host checked");
             self.placements.insert(id, to);
@@ -376,12 +338,9 @@ impl<H: Host> Cluster<H> {
             Ok(())
         } else {
             // Roll back onto the source.
-            let src = self
-                .hosts
-                .iter_mut()
-                .find(|h| h.id() == from)
-                .expect("source still exists");
-            src.deploy(id, spec)
+            self.host_mut(from)
+                .expect("source still exists")
+                .deploy(id, spec)
                 .expect("the VM just vacated this capacity");
             Err(SimError::DeploymentFailed(id))
         }
@@ -395,7 +354,7 @@ impl<H: Host> Cluster<H> {
         if !self.failed.insert(pm) {
             return Vec::new();
         }
-        let Some(host) = self.hosts.iter_mut().find(|h| h.id() == pm) else {
+        let Some(host) = self.hosts.get_mut(pm.0 as usize) else {
             return Vec::new();
         };
         let mut evicted = Vec::new();
@@ -444,12 +403,10 @@ impl<H: Host> Cluster<H> {
     /// Removes a VM, returning the PM that hosted it.
     pub fn remove(&mut self, id: VmId) -> Result<PmId, SimError> {
         let pm = self.placements.remove(&id).ok_or(SimError::UnknownVm(id))?;
-        let host = self
-            .hosts
-            .iter_mut()
-            .find(|h| h.id() == pm)
-            .expect("placement map points at an opened host");
-        host.remove(id).expect("placement map is consistent");
+        self.host_mut(pm)
+            .expect("placement map points at an opened host")
+            .remove(id)
+            .expect("placement map is consistent");
         self.refresh_slot(pm);
         Ok(pm)
     }
@@ -506,12 +463,9 @@ impl<H: Host> Cluster<H> {
             .get(&id)
             .copied()
             .ok_or(SimError::UnknownVm(id))?;
-        let host = self
-            .hosts
-            .iter_mut()
-            .find(|h| h.id() == pm)
-            .expect("placement map points at an opened host");
-        host.resize_vm(id, vcpus, mem_mib)
+        self.host_mut(pm)
+            .expect("placement map points at an opened host")
+            .resize_vm(id, vcpus, mem_mib)
             .map_err(|_| SimError::DeploymentFailed(id))?;
         self.refresh_slot(pm);
         Ok(pm)
@@ -604,28 +558,6 @@ mod tests {
     fn unknown_vm_removal_errors() {
         let mut c = premium_cluster();
         assert_eq!(c.remove(VmId(9)).unwrap_err(), SimError::UnknownVm(VmId(9)));
-    }
-
-    #[test]
-    fn scheduled_deploys_respect_filters() {
-        use slackvm_sched::{MaxVmsFilter, Scheduler};
-        let mut c = premium_cluster();
-        let scheduler =
-            Scheduler::new(PlacementPolicy::FirstFit).with_filter(MaxVmsFilter { max_vms: 2 });
-        // Two VMs land on host 0; the density cap pushes the third to a
-        // fresh host even though host 0 has room.
-        for i in 0..3 {
-            c.deploy_scheduled(VmId(i), spec(1, 1), &scheduler).unwrap();
-        }
-        assert_eq!(c.opened(), 2);
-        assert_eq!(c.location_of(VmId(2)), Some(PmId(1)));
-        // Without the filter the same sequence stays on one host.
-        let mut c2 = premium_cluster();
-        let plain = Scheduler::new(PlacementPolicy::FirstFit);
-        for i in 0..3 {
-            c2.deploy_scheduled(VmId(i), spec(1, 1), &plain).unwrap();
-        }
-        assert_eq!(c2.opened(), 1);
     }
 
     #[test]
@@ -763,18 +695,5 @@ mod tests {
         assert_eq!(c.location_of(VmId(2)), Some(PmId(2)));
         c.repair_host(PmId(1));
         assert_eq!(c.failed_ids(), Vec::<PmId>::new());
-    }
-
-    #[test]
-    fn scheduled_deploys_hit_the_cap() {
-        use slackvm_sched::{MaxVmsFilter, Scheduler};
-        let mut c = premium_cluster().with_max_hosts(1);
-        let scheduler =
-            Scheduler::new(PlacementPolicy::FirstFit).with_filter(MaxVmsFilter { max_vms: 1 });
-        c.deploy_scheduled(VmId(0), spec(1, 1), &scheduler).unwrap();
-        let err = c
-            .deploy_scheduled(VmId(1), spec(1, 1), &scheduler)
-            .unwrap_err();
-        assert_eq!(err, SimError::DeploymentFailed(VmId(1)));
     }
 }

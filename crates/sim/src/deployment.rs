@@ -67,10 +67,7 @@ pub enum DeploymentModel {
 impl DeploymentModel {
     /// Places a VM.
     pub fn deploy(&mut self, id: VmId, spec: VmSpec) -> Result<PmId, SimError> {
-        match self {
-            DeploymentModel::Dedicated(d) => d.deploy(id, spec),
-            DeploymentModel::Shared(s) => s.deploy(id, spec),
-        }
+        self.deploy_recorded(id, spec, 0, &mut slackvm_telemetry::NullRecorder)
     }
 
     /// [`DeploymentModel::deploy`] with telemetry: scoring-loop spans,
@@ -91,10 +88,7 @@ impl DeploymentModel {
 
     /// Removes a VM.
     pub fn remove(&mut self, id: VmId) -> Result<PmId, SimError> {
-        match self {
-            DeploymentModel::Dedicated(d) => d.remove(id),
-            DeploymentModel::Shared(s) => s.remove(id),
-        }
+        self.remove_recorded(id, 0, &mut slackvm_telemetry::NullRecorder)
     }
 
     /// [`DeploymentModel::remove`] with telemetry (vNode shrink /
@@ -115,10 +109,7 @@ impl DeploymentModel {
     /// effects) when the hosting machine cannot absorb the new size —
     /// control planes surface that as a rejected resize request.
     pub fn resize(&mut self, id: VmId, vcpus: u32, mem_mib: u64) -> Result<(), SimError> {
-        match self {
-            DeploymentModel::Dedicated(d) => d.resize(id, vcpus, mem_mib),
-            DeploymentModel::Shared(s) => s.resize(id, vcpus, mem_mib),
-        }
+        self.resize_recorded(id, vcpus, mem_mib, 0, &mut slackvm_telemetry::NullRecorder)
     }
 
     /// [`DeploymentModel::resize`] with telemetry (vNode grow / shrink
@@ -255,8 +246,19 @@ impl DeploymentModel {
     /// lost. On the dedicated baseline, PM ids are per-level, so the
     /// same id fails across every configured sub-cluster. Idempotent.
     pub fn fail_host(&mut self, pm: PmId) -> Vec<(VmId, VmSpec)> {
+        self.fail_host_recorded(pm, 0, &mut slackvm_telemetry::NullRecorder)
+    }
+
+    /// [`DeploymentModel::fail_host`] with telemetry (`HostFailed`,
+    /// per-VM `VmEvicted`, and vNode dissolution on the shared pool).
+    pub fn fail_host_recorded<R: slackvm_telemetry::Recorder>(
+        &mut self,
+        pm: PmId,
+        time_secs: u64,
+        recorder: &mut R,
+    ) -> Vec<(VmId, VmSpec)> {
         match self {
-            DeploymentModel::Shared(s) => s.fail_host(pm),
+            DeploymentModel::Shared(s) => s.fail_host_recorded(pm, time_secs, recorder),
             DeploymentModel::Dedicated(d) => d.fail_host(pm),
         }
     }
@@ -326,7 +328,6 @@ impl DeploymentModel {
 pub struct DedicatedDeployment {
     clusters: BTreeMap<OversubLevel, Cluster<UniformMachine>>,
     config: PmConfig,
-    policy: PlacementPolicy,
     index_mode: IndexMode,
 }
 
@@ -343,7 +344,6 @@ impl DedicatedDeployment {
         DedicatedDeployment {
             clusters,
             config,
-            policy: PlacementPolicy::FirstFit,
             index_mode: IndexMode::default(),
         }
     }
@@ -413,14 +413,9 @@ impl DedicatedDeployment {
         (alloc, cap)
     }
 
+    #[cfg(test)]
     fn deploy(&mut self, id: VmId, spec: VmSpec) -> Result<PmId, SimError> {
-        let cluster = self.clusters.entry(spec.level).or_insert_with(|| {
-            let config = self.config;
-            let level = spec.level;
-            Cluster::new(move |id| UniformMachine::new(id, config, level))
-                .with_index_mode(self.index_mode)
-        });
-        cluster.deploy(id, spec, &self.policy)
+        self.deploy_recorded(id, spec, 0, &mut slackvm_telemetry::NullRecorder)
     }
 
     fn deploy_recorded<R: slackvm_telemetry::Recorder>(
@@ -430,13 +425,13 @@ impl DedicatedDeployment {
         time_secs: u64,
         recorder: &mut R,
     ) -> Result<PmId, SimError> {
-        let cluster = self.clusters.entry(spec.level).or_insert_with(|| {
-            let config = self.config;
-            let level = spec.level;
-            Cluster::new(move |id| UniformMachine::new(id, config, level))
-                .with_index_mode(self.index_mode)
-        });
-        cluster.deploy_recorded(id, spec, &self.policy, time_secs, recorder)
+        self.cluster_entry(spec.level).deploy_recorded(
+            id,
+            spec,
+            &PlacementPolicy::FirstFit,
+            time_secs,
+            recorder,
+        )
     }
 
     fn remove(&mut self, id: VmId) -> Result<PmId, SimError> {
@@ -763,9 +758,7 @@ impl SharedDeployment {
             .ok_or(SimError::UnknownVm(id))?;
         let level = self
             .cluster
-            .hosts()
-            .iter()
-            .find(|h| h.id() == pm)
+            .host(pm)
             .and_then(|h| h.level_of(id))
             .expect("placement is consistent");
         // Through the cluster, not hosts_mut(): keeps the placement
@@ -811,12 +804,7 @@ impl SharedDeployment {
             if self.cluster.location_of(mv.vm) != Some(mv.from) {
                 continue;
             }
-            let level = self
-                .cluster
-                .hosts()
-                .iter()
-                .find(|h| h.id() == mv.from)
-                .and_then(|h| h.level_of(mv.vm));
+            let level = self.cluster.host(mv.from).and_then(|h| h.level_of(mv.vm));
             if self.cluster.migrate(mv.vm, mv.to).is_ok() {
                 migrations += 1;
                 if let Some(level) = level {
@@ -847,9 +835,7 @@ impl SharedDeployment {
     ) {
         let member = self
             .cluster
-            .hosts()
-            .iter()
-            .find(|h| h.id() == pm)
+            .host(pm)
             .and_then(|h| h.vnode(level))
             .map(|v| VClusterMember {
                 cores: v.num_cores(),
@@ -961,9 +947,7 @@ impl SharedDeployment {
             .ok_or(SimError::UnknownVm(id))?;
         let level = self
             .cluster
-            .hosts()
-            .iter()
-            .find(|h| h.id() == from)
+            .host(from)
             .and_then(|h| h.level_of(id))
             .expect("placement is consistent");
         self.cluster.migrate(id, to)?;
@@ -986,13 +970,8 @@ impl SharedDeployment {
         let level = self
             .cluster
             .location_of(id)
-            .and_then(|pm| {
-                self.cluster
-                    .hosts()
-                    .iter()
-                    .find(|h| h.id() == pm)
-                    .and_then(|h| h.level_of(id))
-            })
+            .and_then(|pm| self.cluster.host(pm))
+            .and_then(|h| h.level_of(id))
             .ok_or(SimError::UnknownVm(id))?;
         let pm = self.cluster.remove(id)?;
         self.refresh_vcluster_recorded(pm, level, time_secs, recorder);

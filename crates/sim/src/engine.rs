@@ -1,11 +1,16 @@
 //! The replay engine: workload trace → packing outcome.
 
-use slackvm_workload::{Workload, WorkloadEvent};
+use std::collections::BTreeSet;
+
+use slackvm_model::{PmId, VmId};
+use slackvm_telemetry::{Event, NullRecorder, Recorder};
+use slackvm_workload::Workload;
 
 use crate::deployment::DeploymentModel;
 use crate::error::SimError;
 use crate::events::{EventQueue, SimEvent};
 use crate::metrics::{OccupancySample, OccupancyTracker, PackingOutcome};
+use crate::observe::ClusterSampler;
 
 /// Replays `workload` against `deployment` and reports the packing
 /// outcome.
@@ -20,6 +25,10 @@ use crate::metrics::{OccupancySample, OccupancyTracker, PackingOutcome};
 /// index by default; `DeploymentModel::set_index_mode` selects the
 /// naive full rebuild for A/B comparison — both modes are
 /// decision-identical).
+///
+/// This is [`run_packing_with`] with nothing switched on: no sample
+/// log, no sampler, no failures, no compaction, and the disabled
+/// [`NullRecorder`] — no clock reads, no allocations, no journal.
 ///
 /// ```
 /// use slackvm_sim::{run_packing, DeploymentModel, SharedDeployment};
@@ -36,86 +45,122 @@ use crate::metrics::{OccupancySample, OccupancyTracker, PackingOutcome};
 /// assert!(outcome.opened_pms > 0);
 /// ```
 pub fn run_packing(workload: &Workload, deployment: &mut DeploymentModel) -> PackingOutcome {
-    run_packing_with_samples(workload, deployment, None)
-}
-
-/// Like [`run_packing`], additionally appending every occupancy sample
-/// to `samples` (one per processed event) — the time series behind
-/// utilization plots and steady-state analyses.
-pub fn run_packing_with_samples(
-    workload: &Workload,
-    deployment: &mut DeploymentModel,
-    samples: Option<&mut Vec<OccupancySample>>,
-) -> PackingOutcome {
-    run_packing_instrumented(
+    run_packing_with(
         workload,
         deployment,
-        samples,
-        &mut slackvm_telemetry::NullRecorder,
+        RunOptions::default(),
+        &mut NullRecorder,
     )
+    .outcome
 }
 
-/// [`run_packing`] with full telemetry: the recorder journals every
-/// arrival / placement / rejection / departure / resize (plus the
-/// PM-open and vNode lifecycle events the deployment emits), times each
-/// event dispatch under the `sim.dispatch` span, and accumulates the
-/// run-level counters `sim.deployments` / `sim.rejections`.
+/// What a replay does beyond placing and retiring the trace's VMs.
+/// The default switches everything off.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Appends every occupancy sample (one per processed event) here —
+    /// the time series behind utilization plots and steady-state
+    /// analyses.
+    pub samples: Option<&'a mut Vec<OccupancySample>>,
+    /// Interval-driven sampler snapshotting utilization, fragmentation,
+    /// per-level vNode width, and Algorithm-2 M/C deviation as time
+    /// series. It observes the cluster *after* each processed event, on
+    /// its own simulated-time grid: its first due tick is taken
+    /// immediately, so an interval longer than the replay horizon still
+    /// yields exactly one snapshot.
+    pub sampler: Option<&'a mut ClusterSampler>,
+    /// Host failures to inject, as `(time_secs, pm)` points in any
+    /// order. Evicted VMs are immediately re-placed on surviving hosts
+    /// (opening new ones if allowed); VMs that cannot be re-placed are
+    /// lost: their departures are cancelled and their resizes skipped.
+    pub failures: &'a [(u64, PmId)],
+    /// Runs a compaction round every this many seconds of simulated
+    /// time (clamped to at least 1) — the paper's future-work live
+    /// migration as an operating mode. Only the shared pool migrates;
+    /// on the dedicated baseline rounds are counted and move nothing.
+    pub compact_every: Option<u64>,
+}
+
+/// Statistics of a compacting replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CompactionStats {
+    /// Compaction rounds executed.
+    pub rounds: u32,
+    /// Successful migrations across all rounds.
+    pub migrations: u32,
+    /// PMs drained (cumulative, per round).
+    pub drained: u32,
+}
+
+/// Statistics of a failure-injected replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FailureStats {
+    /// Hosts failed.
+    pub hosts_failed: u32,
+    /// VMs evicted by failures.
+    pub vms_evicted: u32,
+    /// Evicted VMs successfully re-placed.
+    pub vms_replaced: u32,
+    /// Evicted VMs the cluster could not re-place (lost).
+    pub vms_lost: u32,
+}
+
+/// What [`run_packing_with`] hands back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunReport {
+    /// The packing outcome. Its `model` label carries a `+compaction`
+    /// and/or `+failures` suffix when those options were on.
+    pub outcome: PackingOutcome,
+    /// Compaction rounds and migrations (all zero without
+    /// [`RunOptions::compact_every`]).
+    pub compaction: CompactionStats,
+    /// Injected failures and what became of the evicted VMs (all zero
+    /// without [`RunOptions::failures`]).
+    pub failures: FailureStats,
+}
+
+/// The replay loop — every way of running a trace goes through here.
 ///
-/// With a disabled recorder (the default
-/// [`NullRecorder`](slackvm_telemetry::NullRecorder)) this is exactly
-/// [`run_packing_with_samples`]: no clock reads, no allocations, no
-/// journal.
-pub fn run_packing_recorded<R: slackvm_telemetry::Recorder>(
-    workload: &Workload,
-    deployment: &mut DeploymentModel,
-    recorder: &mut R,
-) -> PackingOutcome {
-    run_packing_instrumented(workload, deployment, None, recorder)
-}
-
-/// [`run_packing_instrumented`] without time-series sampling.
-pub fn run_packing_instrumented<R: slackvm_telemetry::Recorder>(
-    workload: &Workload,
-    deployment: &mut DeploymentModel,
-    samples: Option<&mut Vec<OccupancySample>>,
-    recorder: &mut R,
-) -> PackingOutcome {
-    run_packing_observed(workload, deployment, samples, None, recorder)
-}
-
-/// The fully-general replay: optional per-event sample log, optional
-/// interval-driven [`ClusterSampler`](crate::observe::ClusterSampler)
-/// (snapshotting utilization, fragmentation, per-level vNode width, and
-/// Algorithm-2 M/C deviation as time series), plus a recorder.
+/// The recorder journals every arrival / placement / rejection /
+/// departure / resize (plus the PM-open and vNode lifecycle events the
+/// deployment emits), times each event dispatch under the
+/// `sim.dispatch` span, and accumulates the run-level counters
+/// `sim.deployments` / `sim.rejections`. Compaction rounds journal their
+/// plan and applied moves (see
+/// [`SharedDeployment::compact_now_recorded`](crate::deployment::SharedDeployment::compact_now_recorded))
+/// plus a closing `CompactionRound`; injected failures journal
+/// `HostFailed` + per-VM `VmEvicted`, then `VmReplaced` or `VmLost` per
+/// re-placement. [`CompactionStats`] and [`FailureStats`] are mirrored
+/// into the metrics registry as `sim.compaction.*` / `sim.failures.*`.
 ///
-/// The sampler observes the cluster *after* each processed event, on its
-/// own simulated-time grid: its first due tick is taken immediately, so
-/// an interval longer than the replay horizon still yields exactly one
-/// snapshot.
-pub fn run_packing_observed<R: slackvm_telemetry::Recorder>(
+/// Failures and compaction rounds due at or before an event's time run
+/// before that event, oldest first (a failure before a round due at the
+/// same instant).
+pub fn run_packing_with<R: Recorder>(
     workload: &Workload,
     deployment: &mut DeploymentModel,
-    mut samples: Option<&mut Vec<OccupancySample>>,
-    mut sampler: Option<&mut crate::observe::ClusterSampler>,
+    options: RunOptions<'_>,
     recorder: &mut R,
-) -> PackingOutcome {
-    use slackvm_telemetry::Event;
+) -> RunReport {
+    let RunOptions {
+        mut samples,
+        mut sampler,
+        failures,
+        compact_every,
+    } = options;
+    let mut queue = EventQueue::from_workload(workload);
 
-    let mut queue = EventQueue::new();
-    for (t, event) in &workload.events {
-        match event {
-            WorkloadEvent::Arrival(vm) => queue.push(*t, SimEvent::Arrival(vm.clone())),
-            WorkloadEvent::Resize { id, vcpus, mem_mib } => queue.push(
-                *t,
-                SimEvent::Resize {
-                    id: *id,
-                    vcpus: *vcpus,
-                    mem_mib: *mem_mib,
-                },
-            ),
-            WorkloadEvent::Departure { .. } => {}
-        }
-    }
+    let mut pending_failures = failures.to_vec();
+    pending_failures.sort_unstable();
+    let mut pending_failures = pending_failures.into_iter().peekable();
+    let mut failure_stats = FailureStats::default();
+    // VMs a failure evicted and nothing could re-place: their queued
+    // departures and resizes no longer have a target.
+    let mut lost: BTreeSet<VmId> = BTreeSet::new();
+
+    let compact_every = compact_every.map(|every| every.max(1));
+    let mut next_compaction = compact_every;
+    let mut compaction_stats = CompactionStats::default();
 
     let mut tracker = OccupancyTracker::new();
     let mut alive: u32 = 0;
@@ -123,6 +168,62 @@ pub fn run_packing_observed<R: slackvm_telemetry::Recorder>(
     let mut deployments = 0u32;
 
     while let Some((t, event)) = queue.pop() {
+        loop {
+            let fail_at = pending_failures.peek().map(|f| f.0).filter(|at| *at <= t);
+            let compact_at = next_compaction.filter(|at| *at <= t);
+            match (fail_at, compact_at) {
+                (None, None) => break,
+                (Some(t_fail), round) if round.is_none_or(|at| t_fail <= at) => {
+                    let (_, pm) = pending_failures.next().expect("peeked above");
+                    failure_stats.hosts_failed += 1;
+                    for (id, spec) in deployment.fail_host_recorded(pm, t_fail, recorder) {
+                        failure_stats.vms_evicted += 1;
+                        match deployment.deploy_recorded(id, spec, t_fail, recorder) {
+                            Ok(new_pm) => {
+                                failure_stats.vms_replaced += 1;
+                                if recorder.enabled() {
+                                    recorder
+                                        .record(t_fail, Event::VmReplaced { vm: id, pm: new_pm });
+                                }
+                            }
+                            Err(_) => {
+                                failure_stats.vms_lost += 1;
+                                lost.insert(id);
+                                alive -= 1;
+                                if recorder.enabled() {
+                                    recorder.record(t_fail, Event::VmLost { vm: id });
+                                }
+                            }
+                        }
+                    }
+                }
+                _ => {
+                    let at = next_compaction.expect("a round is due in this arm");
+                    let (migrations, drained) = match deployment {
+                        DeploymentModel::Shared(pool) => pool.compact_now_recorded(at, recorder),
+                        DeploymentModel::Dedicated(_) => (0, 0),
+                    };
+                    compaction_stats.rounds += 1;
+                    compaction_stats.migrations += migrations;
+                    compaction_stats.drained += drained;
+                    if recorder.enabled() {
+                        recorder.record(
+                            at,
+                            Event::CompactionRound {
+                                round: compaction_stats.rounds,
+                                migrations,
+                                drained,
+                            },
+                        );
+                        recorder.count("sim.compaction.rounds", 1);
+                        recorder.count("sim.compaction.migrations", migrations as u64);
+                        recorder.count("sim.compaction.drained", drained as u64);
+                    }
+                    next_compaction = compact_every.map(|every| at + every);
+                }
+            }
+        }
+
         let span = recorder.begin("sim.dispatch");
         match event {
             SimEvent::Arrival(vm) => {
@@ -171,30 +272,34 @@ pub fn run_packing_observed<R: slackvm_telemetry::Recorder>(
                 }
             }
             SimEvent::Departure(id) => {
-                let pm = deployment
-                    .remove_recorded(id, t, recorder)
-                    .expect("departures are only scheduled for placed VMs");
-                alive -= 1;
-                if recorder.enabled() {
-                    recorder.record(t, Event::VmDeparted { vm: id, pm });
+                if lost.is_empty() || !lost.remove(&id) {
+                    let pm = deployment
+                        .remove_recorded(id, t, recorder)
+                        .expect("departures are only scheduled for placed, non-lost VMs");
+                    alive -= 1;
+                    if recorder.enabled() {
+                        recorder.record(t, Event::VmDeparted { vm: id, pm });
+                    }
                 }
             }
             SimEvent::Resize { id, vcpus, mem_mib } => {
-                // A rejected resize (or one targeting a VM that was
-                // never placed) leaves the old size in force.
-                let accepted = deployment
-                    .resize_recorded(id, vcpus, mem_mib, t, recorder)
-                    .is_ok();
-                if recorder.enabled() {
-                    recorder.record(
-                        t,
-                        Event::VmResized {
-                            vm: id,
-                            vcpus,
-                            mem_mib,
-                            accepted,
-                        },
-                    );
+                if lost.is_empty() || !lost.contains(&id) {
+                    // A rejected resize (or one targeting a VM that was
+                    // never placed) leaves the old size in force.
+                    let accepted = deployment
+                        .resize_recorded(id, vcpus, mem_mib, t, recorder)
+                        .is_ok();
+                    if recorder.enabled() {
+                        recorder.record(
+                            t,
+                            Event::VmResized {
+                                vm: id,
+                                vcpus,
+                                mem_mib,
+                                accepted,
+                            },
+                        );
+                    }
                 }
             }
         }
@@ -212,396 +317,46 @@ pub fn run_packing_observed<R: slackvm_telemetry::Recorder>(
     }
 
     if recorder.enabled() {
+        if !failures.is_empty() {
+            recorder.count(
+                "sim.failures.hosts_failed",
+                failure_stats.hosts_failed as u64,
+            );
+            recorder.count("sim.failures.vms_evicted", failure_stats.vms_evicted as u64);
+            recorder.count(
+                "sim.failures.vms_replaced",
+                failure_stats.vms_replaced as u64,
+            );
+            recorder.count("sim.failures.vms_lost", failure_stats.vms_lost as u64);
+        }
         recorder.count("sim.deployments", deployments as u64);
         recorder.count("sim.rejections", rejections as u64);
         recorder.gauge("sim.opened_pms", deployment.opened_pms() as f64);
         recorder.gauge("sim.peak_alive_vms", tracker.peak_alive() as f64);
     }
 
+    let mut model = deployment.name();
+    if compact_every.is_some() {
+        model.push_str("+compaction");
+    }
+    if !failures.is_empty() {
+        model.push_str("+failures");
+    }
     let (mean_cpu, mean_mem) = tracker.means();
-    PackingOutcome {
-        model: deployment.name(),
-        opened_pms: deployment.opened_pms(),
-        peak_alive_vms: tracker.peak_alive(),
-        at_peak: tracker.peak().unwrap_or(OccupancySample {
-            time_secs: 0,
-            alive_vms: 0,
-            opened_pms: 0,
-            unallocated_cpu: 0.0,
-            unallocated_mem: 0.0,
-        }),
-        mean_unallocated_cpu: mean_cpu,
-        mean_unallocated_mem: mean_mem,
-        rejections,
-        deployments,
+    RunReport {
+        outcome: PackingOutcome {
+            model,
+            opened_pms: deployment.opened_pms(),
+            peak_alive_vms: tracker.peak_alive(),
+            at_peak: tracker.peak().unwrap_or_default(),
+            mean_unallocated_cpu: mean_cpu,
+            mean_unallocated_mem: mean_mem,
+            rejections,
+            deployments,
+        },
+        compaction: compaction_stats,
+        failures: failure_stats,
     }
-}
-
-/// Statistics of a compacting replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompactionStats {
-    /// Compaction rounds executed.
-    pub rounds: u32,
-    /// Successful migrations across all rounds.
-    pub migrations: u32,
-    /// PMs drained (cumulative, per round).
-    pub drained: u32,
-}
-
-/// Replays `workload` against a shared SlackVM pool, running a
-/// compaction round every `every_secs` of simulated time — the paper's
-/// future-work live migration as an operating mode. Returns the packing
-/// outcome plus migration statistics.
-pub fn run_packing_compacting(
-    workload: &Workload,
-    deployment: &mut crate::deployment::SharedDeployment,
-    every_secs: u64,
-) -> (PackingOutcome, CompactionStats) {
-    run_packing_compacting_recorded(
-        workload,
-        deployment,
-        every_secs,
-        &mut slackvm_telemetry::NullRecorder,
-    )
-}
-
-/// [`run_packing_compacting`] with telemetry: each round's plan and
-/// applied moves are journalled (see
-/// [`SharedDeployment::compact_now_recorded`](crate::deployment::SharedDeployment::compact_now_recorded)),
-/// a `CompactionRound` event closes every round, and the
-/// [`CompactionStats`] fields are mirrored into the metrics registry as
-/// `sim.compaction.rounds` / `.migrations` / `.drained`.
-pub fn run_packing_compacting_recorded<R: slackvm_telemetry::Recorder>(
-    workload: &Workload,
-    deployment: &mut crate::deployment::SharedDeployment,
-    every_secs: u64,
-    recorder: &mut R,
-) -> (PackingOutcome, CompactionStats) {
-    use slackvm_telemetry::Event;
-
-    let every = every_secs.max(1);
-    let mut queue = EventQueue::new();
-    for (t, event) in &workload.events {
-        if let WorkloadEvent::Arrival(vm) = event {
-            queue.push(*t, SimEvent::Arrival(vm.clone()));
-        }
-    }
-    let mut tracker = OccupancyTracker::new();
-    let mut alive: u32 = 0;
-    let mut rejections = 0u32;
-    let mut deployments = 0u32;
-    let mut stats = CompactionStats::default();
-    let mut next_compaction = every;
-
-    while let Some((t, event)) = queue.pop() {
-        while t >= next_compaction {
-            let (migrations, drained) = deployment.compact_now_recorded(next_compaction, recorder);
-            stats.rounds += 1;
-            stats.migrations += migrations;
-            stats.drained += drained;
-            if recorder.enabled() {
-                recorder.record(
-                    next_compaction,
-                    Event::CompactionRound {
-                        round: stats.rounds,
-                        migrations,
-                        drained,
-                    },
-                );
-                recorder.count("sim.compaction.rounds", 1);
-                recorder.count("sim.compaction.migrations", migrations as u64);
-                recorder.count("sim.compaction.drained", drained as u64);
-            }
-            next_compaction += every;
-        }
-        let span = recorder.begin("sim.dispatch");
-        match event {
-            SimEvent::Arrival(vm) => {
-                deployments += 1;
-                if recorder.enabled() {
-                    recorder.record(
-                        t,
-                        Event::VmArrival {
-                            vm: vm.id,
-                            vcpus: vm.spec.vcpus(),
-                            mem_mib: vm.spec.mem_mib(),
-                            level: vm.spec.level.ratio(),
-                        },
-                    );
-                }
-                match deployment.deploy_recorded(vm.id, vm.spec, t, recorder) {
-                    Ok(pm) => {
-                        alive += 1;
-                        queue.push(vm.departure_secs.max(t + 1), SimEvent::Departure(vm.id));
-                        if recorder.enabled() {
-                            recorder.record(
-                                t,
-                                Event::VmPlaced {
-                                    vm: vm.id,
-                                    pm,
-                                    level: vm.spec.level.ratio(),
-                                },
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        rejections += 1;
-                        if recorder.enabled() {
-                            recorder.record(
-                                t,
-                                Event::VmRejected {
-                                    vm: vm.id,
-                                    vcpus: vm.spec.vcpus(),
-                                    mem_mib: vm.spec.mem_mib(),
-                                    level: vm.spec.level.ratio(),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            SimEvent::Departure(id) => {
-                let pm = deployment
-                    .remove_recorded(id, t, recorder)
-                    .expect("departures are only scheduled for placed VMs");
-                alive -= 1;
-                if recorder.enabled() {
-                    recorder.record(t, Event::VmDeparted { vm: id, pm });
-                }
-            }
-            SimEvent::Resize { id, vcpus, mem_mib } => {
-                let _ = deployment.resize_recorded(id, vcpus, mem_mib, t, recorder);
-            }
-        }
-        recorder.end(span);
-        tracker.observe(OccupancySample::from_totals(
-            t,
-            alive,
-            deployment.cluster.opened(),
-            deployment.cluster.total_alloc(),
-            deployment.cluster.total_capacity(),
-        ));
-    }
-
-    if recorder.enabled() {
-        recorder.count("sim.deployments", deployments as u64);
-        recorder.count("sim.rejections", rejections as u64);
-        recorder.gauge("sim.opened_pms", deployment.cluster.opened() as f64);
-    }
-
-    let (mean_cpu, mean_mem) = tracker.means();
-    let outcome = PackingOutcome {
-        model: format!("slackvm/{}+compaction", deployment.policy.name()),
-        opened_pms: deployment.cluster.opened(),
-        peak_alive_vms: tracker.peak_alive(),
-        at_peak: tracker.peak().unwrap_or(OccupancySample {
-            time_secs: 0,
-            alive_vms: 0,
-            opened_pms: 0,
-            unallocated_cpu: 0.0,
-            unallocated_mem: 0.0,
-        }),
-        mean_unallocated_cpu: mean_cpu,
-        mean_unallocated_mem: mean_mem,
-        rejections,
-        deployments,
-    };
-    (outcome, stats)
-}
-
-/// Statistics of a failure-injected replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FailureStats {
-    /// Hosts failed.
-    pub hosts_failed: u32,
-    /// VMs evicted by failures.
-    pub vms_evicted: u32,
-    /// Evicted VMs successfully re-placed.
-    pub vms_replaced: u32,
-    /// Evicted VMs the cluster could not re-place (lost).
-    pub vms_lost: u32,
-}
-
-/// Replays `workload` against a shared pool while injecting host
-/// failures at the given `(time_secs, pm)` points. Evicted VMs are
-/// immediately re-placed on surviving hosts (opening new ones if
-/// allowed); VMs that cannot be re-placed are lost and their departures
-/// cancelled.
-pub fn run_packing_with_failures(
-    workload: &Workload,
-    deployment: &mut crate::deployment::SharedDeployment,
-    failures: &[(u64, slackvm_model::PmId)],
-) -> (PackingOutcome, FailureStats) {
-    run_packing_with_failures_recorded(
-        workload,
-        deployment,
-        failures,
-        &mut slackvm_telemetry::NullRecorder,
-    )
-}
-
-/// [`run_packing_with_failures`] with telemetry: every injected failure
-/// journals `HostFailed` + per-VM `VmEvicted` (see
-/// [`SharedDeployment::fail_host_recorded`](crate::deployment::SharedDeployment::fail_host_recorded)),
-/// each re-placement outcome journals `VmReplaced` or `VmLost`, and the
-/// [`FailureStats`] fields are mirrored into the metrics registry as
-/// `sim.failures.hosts_failed` / `.vms_evicted` / `.vms_replaced` /
-/// `.vms_lost`.
-pub fn run_packing_with_failures_recorded<R: slackvm_telemetry::Recorder>(
-    workload: &Workload,
-    deployment: &mut crate::deployment::SharedDeployment,
-    failures: &[(u64, slackvm_model::PmId)],
-    recorder: &mut R,
-) -> (PackingOutcome, FailureStats) {
-    use slackvm_telemetry::Event;
-
-    let mut queue = EventQueue::new();
-    for (t, event) in &workload.events {
-        if let WorkloadEvent::Arrival(vm) = event {
-            queue.push(*t, SimEvent::Arrival(vm.clone()));
-        }
-    }
-    let mut failure_queue: Vec<(u64, slackvm_model::PmId)> = failures.to_vec();
-    failure_queue.sort_by_key(|(t, pm)| (*t, *pm));
-    let mut failure_idx = 0usize;
-
-    let mut tracker = OccupancyTracker::new();
-    let mut alive: u32 = 0;
-    let mut rejections = 0u32;
-    let mut deployments = 0u32;
-    let mut stats = FailureStats::default();
-    let mut lost: std::collections::BTreeSet<slackvm_model::VmId> = Default::default();
-
-    while let Some((t, event)) = queue.pop() {
-        while failure_idx < failure_queue.len() && failure_queue[failure_idx].0 <= t {
-            let (t_fail, pm) = failure_queue[failure_idx];
-            failure_idx += 1;
-            let evicted = deployment.fail_host_recorded(pm, t_fail, recorder);
-            stats.hosts_failed += 1;
-            for (id, spec) in evicted {
-                stats.vms_evicted += 1;
-                match deployment.deploy_recorded(id, spec, t_fail, recorder) {
-                    Ok(new_pm) => {
-                        stats.vms_replaced += 1;
-                        if recorder.enabled() {
-                            recorder.record(t_fail, Event::VmReplaced { vm: id, pm: new_pm });
-                        }
-                    }
-                    Err(_) => {
-                        stats.vms_lost += 1;
-                        lost.insert(id);
-                        alive -= 1;
-                        if recorder.enabled() {
-                            recorder.record(t_fail, Event::VmLost { vm: id });
-                        }
-                    }
-                }
-            }
-        }
-        let span = recorder.begin("sim.dispatch");
-        match event {
-            SimEvent::Arrival(vm) => {
-                deployments += 1;
-                if recorder.enabled() {
-                    recorder.record(
-                        t,
-                        Event::VmArrival {
-                            vm: vm.id,
-                            vcpus: vm.spec.vcpus(),
-                            mem_mib: vm.spec.mem_mib(),
-                            level: vm.spec.level.ratio(),
-                        },
-                    );
-                }
-                match deployment.deploy_recorded(vm.id, vm.spec, t, recorder) {
-                    Ok(pm) => {
-                        alive += 1;
-                        queue.push(vm.departure_secs.max(t + 1), SimEvent::Departure(vm.id));
-                        if recorder.enabled() {
-                            recorder.record(
-                                t,
-                                Event::VmPlaced {
-                                    vm: vm.id,
-                                    pm,
-                                    level: vm.spec.level.ratio(),
-                                },
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        rejections += 1;
-                        if recorder.enabled() {
-                            recorder.record(
-                                t,
-                                Event::VmRejected {
-                                    vm: vm.id,
-                                    vcpus: vm.spec.vcpus(),
-                                    mem_mib: vm.spec.mem_mib(),
-                                    level: vm.spec.level.ratio(),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            SimEvent::Departure(id) => {
-                if !lost.remove(&id) {
-                    let pm = deployment
-                        .remove_recorded(id, t, recorder)
-                        .expect("departures target placed, non-lost VMs");
-                    alive -= 1;
-                    if recorder.enabled() {
-                        recorder.record(t, Event::VmDeparted { vm: id, pm });
-                    }
-                }
-            }
-            SimEvent::Resize { id, vcpus, mem_mib } => {
-                if !lost.contains(&id) {
-                    let _ = deployment.resize_recorded(id, vcpus, mem_mib, t, recorder);
-                }
-            }
-        }
-        recorder.end(span);
-        tracker.observe(OccupancySample::from_totals(
-            t,
-            alive,
-            deployment.cluster.opened(),
-            deployment.cluster.total_alloc(),
-            deployment.cluster.total_capacity(),
-        ));
-    }
-
-    if recorder.enabled() {
-        recorder.count("sim.failures.hosts_failed", stats.hosts_failed as u64);
-        recorder.count("sim.failures.vms_evicted", stats.vms_evicted as u64);
-        recorder.count("sim.failures.vms_replaced", stats.vms_replaced as u64);
-        recorder.count("sim.failures.vms_lost", stats.vms_lost as u64);
-    }
-
-    if recorder.enabled() {
-        recorder.count("sim.deployments", deployments as u64);
-        recorder.count("sim.rejections", rejections as u64);
-        recorder.gauge("sim.opened_pms", deployment.cluster.opened() as f64);
-    }
-
-    let (mean_cpu, mean_mem) = tracker.means();
-    let outcome = PackingOutcome {
-        model: format!("slackvm/{}+failures", deployment.policy.name()),
-        opened_pms: deployment.cluster.opened(),
-        peak_alive_vms: tracker.peak_alive(),
-        at_peak: tracker.peak().unwrap_or(OccupancySample {
-            time_secs: 0,
-            alive_vms: 0,
-            opened_pms: 0,
-            unallocated_cpu: 0.0,
-            unallocated_mem: 0.0,
-        }),
-        mean_unallocated_cpu: mean_cpu,
-        mean_unallocated_mem: mean_mem,
-        rejections,
-        deployments,
-    };
-    (outcome, stats)
 }
 
 #[cfg(test)]
@@ -641,6 +396,34 @@ mod tests {
             Arc::new(builders::flat(32)),
             slackvm_model::gib(128),
         ))
+    }
+
+    fn compacting<R: Recorder>(
+        w: &Workload,
+        model: &mut DeploymentModel,
+        every_secs: u64,
+        recorder: &mut R,
+    ) -> (PackingOutcome, CompactionStats) {
+        let options = RunOptions {
+            compact_every: Some(every_secs),
+            ..RunOptions::default()
+        };
+        let run = run_packing_with(w, model, options, recorder);
+        (run.outcome, run.compaction)
+    }
+
+    fn failing<R: Recorder>(
+        w: &Workload,
+        model: &mut DeploymentModel,
+        failures: &[(u64, PmId)],
+        recorder: &mut R,
+    ) -> (PackingOutcome, FailureStats) {
+        let options = RunOptions {
+            failures,
+            ..RunOptions::default()
+        };
+        let run = run_packing_with(w, model, options, recorder);
+        (run.outcome, run.failures)
     }
 
     #[test]
@@ -693,8 +476,8 @@ mod tests {
         let w = small_workload('F', 7);
         let mut plain = shared();
         let plain_out = run_packing(&w, &mut plain);
-        let mut pool = SharedDeployment::new(Arc::new(builders::flat(32)), slackvm_model::gib(128));
-        let (compacted_out, stats) = run_packing_compacting(&w, &mut pool, 6 * 3600);
+        let mut pool = shared();
+        let (compacted_out, stats) = compacting(&w, &mut pool, 6 * 3600, &mut NullRecorder);
         assert_eq!(compacted_out.rejections, 0);
         assert!(
             compacted_out.opened_pms <= plain_out.opened_pms,
@@ -706,6 +489,9 @@ mod tests {
         assert!(compacted_out.model.contains("compaction"));
         // Post-replay: fully drained, invariants hold on every worker.
         use slackvm_hypervisor::Host as _;
+        let DeploymentModel::Shared(pool) = &pool else {
+            unreachable!("shared() builds the shared model")
+        };
         for host in pool.cluster.hosts() {
             host.check_invariants().unwrap();
             assert!(host.is_idle());
@@ -716,8 +502,7 @@ mod tests {
     fn compaction_rounds_fire_on_schedule() {
         let w = small_workload('E', 8);
         let horizon = w.events.last().map(|(t, _)| *t).unwrap_or(0);
-        let mut pool = SharedDeployment::new(Arc::new(builders::flat(32)), slackvm_model::gib(128));
-        let (_, stats) = run_packing_compacting(&w, &mut pool, 86_400);
+        let (_, stats) = compacting(&w, &mut shared(), 86_400, &mut NullRecorder);
         // One round per simulated day that has a subsequent event.
         assert!(stats.rounds >= (horizon / 86_400).saturating_sub(1) as u32);
     }
@@ -726,7 +511,16 @@ mod tests {
     fn sample_log_covers_every_event() {
         let w = small_workload('E', 6);
         let mut samples = Vec::new();
-        let out = run_packing_with_samples(&w, &mut dedicated(), Some(&mut samples));
+        let out = run_packing_with(
+            &w,
+            &mut dedicated(),
+            RunOptions {
+                samples: Some(&mut samples),
+                ..RunOptions::default()
+            },
+            &mut NullRecorder,
+        )
+        .outcome;
         // One sample per processed event: every arrival (incl. rejected)
         // plus every departure of a placed VM.
         assert_eq!(
@@ -746,7 +540,8 @@ mod tests {
         let w = small_workload('F', 11);
         let plain = run_packing(&w, &mut shared());
         let mut telemetry = Telemetry::new();
-        let recorded = run_packing_recorded(&w, &mut shared(), &mut telemetry);
+        let recorded =
+            run_packing_with(&w, &mut shared(), RunOptions::default(), &mut telemetry).outcome;
         // Recording must not perturb the simulation.
         assert_eq!(recorded, plain);
         // The journal and the counters agree with the outcome.
@@ -799,12 +594,9 @@ mod tests {
     fn recorded_compaction_journal_matches_stats() {
         use slackvm_telemetry::Telemetry;
         let w = small_workload('F', 7);
-        let mut plain_pool =
-            SharedDeployment::new(Arc::new(builders::flat(32)), slackvm_model::gib(128));
-        let (plain_out, plain_stats) = run_packing_compacting(&w, &mut plain_pool, 6 * 3600);
-        let mut pool = SharedDeployment::new(Arc::new(builders::flat(32)), slackvm_model::gib(128));
+        let (plain_out, plain_stats) = compacting(&w, &mut shared(), 6 * 3600, &mut NullRecorder);
         let mut telemetry = Telemetry::new();
-        let (out, stats) = run_packing_compacting_recorded(&w, &mut pool, 6 * 3600, &mut telemetry);
+        let (out, stats) = compacting(&w, &mut shared(), 6 * 3600, &mut telemetry);
         assert_eq!(out, plain_out);
         assert_eq!(stats, plain_stats);
         // The folded counters equal the legacy stats struct, field by
@@ -844,17 +636,12 @@ mod tests {
 
     #[test]
     fn recorded_failures_journal_matches_stats() {
-        use slackvm_model::PmId;
         use slackvm_telemetry::Telemetry;
         let w = small_workload('F', 9);
         let failures = vec![(86_400, PmId(0)), (2 * 86_400, PmId(1))];
-        let mut plain_pool =
-            SharedDeployment::new(Arc::new(builders::flat(32)), slackvm_model::gib(128));
-        let (plain_out, plain_stats) = run_packing_with_failures(&w, &mut plain_pool, &failures);
-        let mut pool = SharedDeployment::new(Arc::new(builders::flat(32)), slackvm_model::gib(128));
+        let (plain_out, plain_stats) = failing(&w, &mut shared(), &failures, &mut NullRecorder);
         let mut telemetry = Telemetry::new();
-        let (out, stats) =
-            run_packing_with_failures_recorded(&w, &mut pool, &failures, &mut telemetry);
+        let (out, stats) = failing(&w, &mut shared(), &failures, &mut telemetry);
         assert_eq!(out, plain_out);
         assert_eq!(stats, plain_stats);
         assert!(stats.hosts_failed > 0 && stats.vms_evicted > 0);
@@ -900,13 +687,16 @@ mod tests {
         let w = small_workload('F', 12);
         let run = || {
             let mut sampler = crate::observe::ClusterSampler::new(6 * 3600);
-            let out = run_packing_observed(
+            let out = run_packing_with(
                 &w,
                 &mut shared(),
-                None,
-                Some(&mut sampler),
-                &mut slackvm_telemetry::NullRecorder,
-            );
+                RunOptions {
+                    sampler: Some(&mut sampler),
+                    ..RunOptions::default()
+                },
+                &mut NullRecorder,
+            )
+            .outcome;
             (out, sampler.into_store().to_csv())
         };
         let (a_out, a_csv) = run();
@@ -936,15 +726,125 @@ mod tests {
     fn interval_beyond_horizon_yields_one_sample() {
         let w = small_workload('E', 13);
         let mut sampler = crate::observe::ClusterSampler::new(u64::MAX / 4);
-        run_packing_observed(
+        run_packing_with(
             &w,
             &mut shared(),
-            None,
-            Some(&mut sampler),
-            &mut slackvm_telemetry::NullRecorder,
+            RunOptions {
+                sampler: Some(&mut sampler),
+                ..RunOptions::default()
+            },
+            &mut NullRecorder,
         );
         assert_eq!(sampler.samples_taken(), 1, "exactly one initial sample");
         assert!(sampler.store().len() >= 5);
+    }
+
+    #[test]
+    fn plain_run_is_the_optionless_run_field_for_field() {
+        let w = slackvm_workload::scenarios::paper_week_f(60).generate(5);
+        for build in [dedicated as fn() -> DeploymentModel, shared] {
+            let plain = run_packing(&w, &mut build());
+            let run = run_packing_with(&w, &mut build(), RunOptions::default(), &mut NullRecorder);
+            assert_eq!(run.outcome, plain);
+            assert_eq!(run.compaction, CompactionStats::default());
+            assert_eq!(run.failures, FailureStats::default());
+        }
+    }
+
+    /// Regression: the failure-injecting (and compacting) replays used
+    /// to seed their queue from arrivals only, silently dropping every
+    /// resize in the trace.
+    #[test]
+    fn resizes_land_in_the_allocation_of_a_failure_injected_replay() {
+        use slackvm_telemetry::Telemetry;
+        let base = small_workload('F', 14);
+        let w = slackvm_workload::inject_resizes(&base, &catalog::azure(), 1.0, 0xC0FFEE);
+        let t_fail = 86_400;
+        let mut samples = Vec::new();
+        let mut telemetry = Telemetry::new();
+        let options = RunOptions {
+            samples: Some(&mut samples),
+            failures: &[(t_fail, PmId(0))],
+            ..RunOptions::default()
+        };
+        let run = run_packing_with(&w, &mut shared(), options, &mut telemetry);
+        assert!(run.failures.vms_evicted > 0);
+        assert_eq!(run.failures.vms_lost, 0, "the unbounded pool re-places");
+        // Memory is additive per VM, so a ledger kept from the journal
+        // must match the sample the engine took after each event: an
+        // accepted resize that never reached the hosts breaks it there
+        // and at every sample until the VM departs.
+        let mut mem_of = std::collections::BTreeMap::new();
+        let mut samples = samples.iter();
+        let (mut arriving_mem, mut resized_after_failure) = (0, false);
+        for record in telemetry.journal.iter() {
+            match record.event {
+                Event::VmArrival { mem_mib, .. } => {
+                    arriving_mem = mem_mib;
+                    continue;
+                }
+                Event::VmPlaced { vm, .. } => {
+                    mem_of.insert(vm, arriving_mem);
+                }
+                Event::VmDeparted { vm, .. } => {
+                    mem_of.remove(&vm);
+                }
+                Event::VmResized {
+                    accepted: true,
+                    vm,
+                    mem_mib,
+                    ..
+                } => {
+                    mem_of.insert(vm, mem_mib);
+                    resized_after_failure |= record.time_secs > t_fail;
+                }
+                Event::VmRejected { .. } | Event::VmResized { .. } => {}
+                _ => continue,
+            }
+            let sample = samples.next().expect("one sample per dispatched event");
+            assert_eq!(sample.time_secs, record.time_secs);
+            let capacity = (sample.opened_pms as u64 * slackvm_model::gib(128)) as f64;
+            let expected = 1.0 - mem_of.values().sum::<u64>() as f64 / capacity;
+            assert!(
+                (sample.unallocated_mem - expected).abs() < 1e-9,
+                "t={}: sampled {} vs ledger {expected}",
+                record.time_secs,
+                sample.unallocated_mem
+            );
+        }
+        assert!(samples.next().is_none());
+        assert!(resized_after_failure);
+        assert!(mem_of.is_empty(), "the replay drains");
+    }
+
+    #[test]
+    fn resizes_of_lost_vms_are_skipped() {
+        use slackvm_telemetry::Telemetry;
+        let base = small_workload('F', 15);
+        let w = slackvm_workload::inject_resizes(&base, &catalog::azure(), 1.0, 7);
+        // A one-host pool, failed mid-run: every evicted VM is lost,
+        // with its resize and departure still queued.
+        let mut pool = DeploymentModel::Shared(SharedDeployment::with_capped_cluster(
+            Arc::new(builders::flat(32)),
+            slackvm_model::gib(128),
+            1,
+        ));
+        let mut telemetry = Telemetry::new();
+        let (_, stats) = failing(&w, &mut pool, &[(86_400, PmId(0))], &mut telemetry);
+        assert!(stats.vms_lost > 0, "{stats:?}");
+        let mut lost = BTreeSet::new();
+        for record in telemetry.journal.iter() {
+            match record.event {
+                Event::VmResized { vm, .. } | Event::VmDeparted { vm, .. } => {
+                    assert!(!lost.contains(&vm), "{vm} was lost, then touched");
+                }
+                Event::VmLost { vm } => {
+                    lost.insert(vm);
+                }
+                _ => {}
+            }
+        }
+        assert!(pool.totals().0.is_empty());
     }
 
     #[test]

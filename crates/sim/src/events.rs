@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use slackvm_model::VmId;
-use slackvm_workload::VmInstance;
+use slackvm_workload::{VmInstance, Workload, WorkloadEvent};
 
 /// An event the engine processes.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,6 +66,29 @@ impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Seeds a replay: the trace's arrivals and resizes, in trace order.
+    /// The trace's own departures are left out — a replay schedules a
+    /// VM's departure when it *places* the VM, so a rejected arrival
+    /// leaves nothing behind to retire.
+    pub fn from_workload(workload: &Workload) -> Self {
+        let mut queue = Self::new();
+        for (t, event) in &workload.events {
+            match event {
+                WorkloadEvent::Arrival(vm) => queue.push(*t, SimEvent::Arrival(vm.clone())),
+                WorkloadEvent::Resize { id, vcpus, mem_mib } => queue.push(
+                    *t,
+                    SimEvent::Resize {
+                        id: *id,
+                        vcpus: *vcpus,
+                        mem_mib: *mem_mib,
+                    },
+                ),
+                WorkloadEvent::Departure { .. } => {}
+            }
+        }
+        queue
     }
 
     /// Schedules `event` at `time_secs`.

@@ -18,8 +18,11 @@
 //!   oversubscription tier, the baseline) and
 //!   [`deployment::SharedDeployment`] (one pool of partitioned SlackVM
 //!   workers plus vClusters);
-//! - [`engine`]: the replay loop turning a workload trace into a
-//!   [`metrics::PackingOutcome`];
+//! - [`engine`]: the one replay loop turning a workload trace into a
+//!   [`metrics::PackingOutcome`] — [`run_packing`] for the plain run,
+//!   [`run_packing_with`] when a [`RunOptions`] field (sample log,
+//!   sampler, injected failures, periodic compaction) or a telemetry
+//!   recorder is wanted;
 //! - [`metrics`]: occupancy tracking and the unallocated-resource
 //!   accounting behind the paper's Figures 3 and 4.
 
@@ -35,12 +38,10 @@ pub mod observe;
 pub mod state;
 pub mod steady;
 
-pub use cluster::Cluster;
+pub use cluster::{index_entry, Cluster};
 pub use deployment::{DedicatedDeployment, DeploymentModel, SharedDeployment};
 pub use engine::{
-    run_packing, run_packing_compacting, run_packing_compacting_recorded, run_packing_instrumented,
-    run_packing_observed, run_packing_recorded, run_packing_with_failures,
-    run_packing_with_failures_recorded, run_packing_with_samples, CompactionStats, FailureStats,
+    run_packing, run_packing_with, CompactionStats, FailureStats, RunOptions, RunReport,
 };
 pub use error::SimError;
 pub use events::{EventQueue, SimEvent};

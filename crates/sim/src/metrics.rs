@@ -6,7 +6,7 @@ use slackvm_model::AllocView;
 
 /// A point-in-time snapshot of the cluster taken after processing an
 /// event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OccupancySample {
     /// Simulation time (seconds).
     pub time_secs: u64,

@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn real_replay_reaches_its_target_population() {
         use crate::deployment::{DedicatedDeployment, DeploymentModel};
-        use crate::engine::run_packing_with_samples;
+        use crate::engine::{run_packing_with, RunOptions};
         use slackvm_model::{OversubLevel, PmConfig};
         use slackvm_workload::{
             catalog, ArrivalModel, DistributionPoint, WorkloadGenerator, WorkloadSpec,
@@ -150,7 +150,15 @@ mod tests {
             ],
         ));
         let mut samples = Vec::new();
-        run_packing_with_samples(&w, &mut model, Some(&mut samples));
+        run_packing_with(
+            &w,
+            &mut model,
+            RunOptions {
+                samples: Some(&mut samples),
+                ..RunOptions::default()
+            },
+            &mut slackvm_telemetry::NullRecorder,
+        );
         let s = analyze_steady_state(&samples).unwrap();
         assert!(
             (60.0..=100.0).contains(&s.mean_population),

@@ -42,7 +42,15 @@ fn main() -> std::io::Result<()> {
     let workload = slackvm::workload::scenarios::paper_week_f(population).generate(config.seed);
     let mut model = DeploymentModel::Shared(SharedDeployment::new(Arc::new(flat(32)), gib(128)));
     let mut samples = Vec::new();
-    slackvm::sim::run_packing_with_samples(&workload, &mut model, Some(&mut samples));
+    run_packing_with(
+        &workload,
+        &mut model,
+        RunOptions {
+            samples: Some(&mut samples),
+            ..RunOptions::default()
+        },
+        &mut NullRecorder,
+    );
     std::fs::write(
         out_dir.join("occupancy_paper_week_f.svg"),
         occupancy_svg(

@@ -20,7 +20,8 @@ fn main() {
 
     let mut model = DeploymentModel::Shared(SharedDeployment::new(Arc::new(flat(32)), gib(128)));
     let mut telemetry = Telemetry::new();
-    let out = run_packing_recorded(&workload, &mut model, &mut telemetry);
+    let out =
+        run_packing_with(&workload, &mut model, RunOptions::default(), &mut telemetry).outcome;
 
     println!(
         "replayed {}: {} deployments, {} rejections, {} PMs opened",

@@ -4,11 +4,33 @@
 use std::sync::Arc;
 
 use slackvm::prelude::*;
-use slackvm::sim::run_packing_with_failures;
 use slackvm_suite::test_workload;
 
 fn pool() -> SharedDeployment {
     SharedDeployment::new(Arc::new(flat(32)), gib(128))
+}
+
+/// [`run_packing_with`] on a shared pool with `failures` injected.
+fn replay_with_failures(
+    w: &Workload,
+    deployment: &mut SharedDeployment,
+    failures: &[(u64, PmId)],
+) -> (PackingOutcome, FailureStats) {
+    let mut model = DeploymentModel::Shared(std::mem::replace(deployment, pool()));
+    let run = run_packing_with(
+        w,
+        &mut model,
+        RunOptions {
+            failures,
+            ..RunOptions::default()
+        },
+        &mut NullRecorder,
+    );
+    let DeploymentModel::Shared(after) = model else {
+        unreachable!("built shared above")
+    };
+    *deployment = after;
+    (run.outcome, run.failures)
 }
 
 fn workload(seed: u64) -> Workload {
@@ -27,7 +49,7 @@ fn failures_evict_and_replace_on_an_unbounded_pool() {
     let mut deployment = pool();
     // Fail the first two workers on day 1 and day 2.
     let failures = vec![(86_400u64, PmId(0)), (2 * 86_400, PmId(1))];
-    let (out, stats) = run_packing_with_failures(&w, &mut deployment, &failures);
+    let (out, stats) = replay_with_failures(&w, &mut deployment, &failures);
     assert_eq!(stats.hosts_failed, 2);
     assert!(stats.vms_evicted > 0, "day-1 workers host VMs");
     // Unbounded pool: every evicted VM finds a new home.
@@ -60,7 +82,7 @@ fn capped_pool_loses_vms_when_capacity_vanishes() {
     let mut deployment = SharedDeployment::with_capped_cluster(Arc::new(flat(32)), gib(128), cap);
     // Fail a host mid-week at peak-ish occupancy.
     let failures = vec![(4 * 86_400u64, PmId(0))];
-    let (_, stats) = run_packing_with_failures(&w, &mut deployment, &failures);
+    let (_, stats) = replay_with_failures(&w, &mut deployment, &failures);
     assert_eq!(stats.hosts_failed, 1);
     assert_eq!(stats.vms_replaced + stats.vms_lost, stats.vms_evicted);
 }
@@ -74,7 +96,7 @@ fn failing_unknown_or_empty_hosts_is_harmless() {
         (20u64, PmId(0)),  // likely empty this early
         (20u64, PmId(0)),  // repeated failure: idempotent
     ];
-    let (out, stats) = run_packing_with_failures(&w, &mut deployment, &failures);
+    let (out, stats) = replay_with_failures(&w, &mut deployment, &failures);
     assert_eq!(stats.hosts_failed, 3, "each injection is counted");
     assert_eq!(out.rejections, 0);
 }

@@ -21,7 +21,8 @@ fn replay(
 ) -> (PackingOutcome, Vec<(u64, VmId, PmId)>) {
     let mut model = make().with_index_mode(mode);
     let mut telemetry = Telemetry::new();
-    let outcome = run_packing_recorded(workload, &mut model, &mut telemetry);
+    let outcome =
+        run_packing_with(workload, &mut model, RunOptions::default(), &mut telemetry).outcome;
     let picks = telemetry
         .journal
         .iter()
@@ -137,7 +138,16 @@ fn compacting_replay_is_decision_identical() {
     let run = |mode: IndexMode| {
         let mut s = SharedDeployment::new(Arc::new(flat(32)), gib(128));
         s.cluster.set_index_mode(mode);
-        run_packing_compacting(&w, &mut s, 6 * 3_600)
+        let run = run_packing_with(
+            &w,
+            &mut DeploymentModel::Shared(s),
+            RunOptions {
+                compact_every: Some(6 * 3_600),
+                ..RunOptions::default()
+            },
+            &mut NullRecorder,
+        );
+        (run.outcome, run.compaction)
     };
     let (out_naive, stats_naive) = run(IndexMode::Naive);
     let (out_incr, stats_incr) = run(IndexMode::Incremental);
@@ -158,7 +168,16 @@ fn failure_injected_replay_is_decision_identical() {
     let run = |mode: IndexMode| {
         let mut s = SharedDeployment::new(Arc::new(flat(32)), gib(128));
         s.cluster.set_index_mode(mode);
-        run_packing_with_failures(&w, &mut s, &failures)
+        let run = run_packing_with(
+            &w,
+            &mut DeploymentModel::Shared(s),
+            RunOptions {
+                failures: &failures,
+                ..RunOptions::default()
+            },
+            &mut NullRecorder,
+        );
+        (run.outcome, run.failures)
     };
     let (out_naive, stats_naive) = run(IndexMode::Naive);
     let (out_incr, stats_incr) = run(IndexMode::Incremental);
@@ -175,7 +194,7 @@ fn incremental_index_does_less_scoring_work() {
     let scored = |mode: IndexMode| {
         let mut model = shared_default().with_index_mode(mode);
         let mut telemetry = Telemetry::new();
-        run_packing_recorded(&w, &mut model, &mut telemetry);
+        run_packing_with(&w, &mut model, RunOptions::default(), &mut telemetry);
         telemetry.metrics.counter("sched.candidates_scored")
     };
     let naive = scored(IndexMode::Naive);

@@ -35,7 +35,15 @@ fn dedicated_pool() -> DeploymentModel {
 fn observed_csv(model: &mut DeploymentModel, workload: &Workload, interval: u64) -> String {
     let mut telemetry = Telemetry::new();
     let mut sampler = ClusterSampler::new(interval);
-    run_packing_observed(workload, model, None, Some(&mut sampler), &mut telemetry);
+    run_packing_with(
+        workload,
+        model,
+        RunOptions {
+            sampler: Some(&mut sampler),
+            ..RunOptions::default()
+        },
+        &mut telemetry,
+    );
     sampler.into_store().to_csv()
 }
 
@@ -91,11 +99,13 @@ fn interval_beyond_horizon_still_takes_the_initial_sample() {
     let mut model = shared_pool();
     let mut telemetry = Telemetry::new();
     let mut sampler = ClusterSampler::new(u64::MAX / 4);
-    run_packing_observed(
+    run_packing_with(
         &workload,
         &mut model,
-        None,
-        Some(&mut sampler),
+        RunOptions {
+            sampler: Some(&mut sampler),
+            ..RunOptions::default()
+        },
         &mut telemetry,
     );
     assert_eq!(sampler.samples_taken(), 1);
@@ -111,13 +121,16 @@ fn sampling_does_not_perturb_the_outcome() {
     let mut model = shared_pool();
     let mut telemetry = Telemetry::new();
     let mut sampler = ClusterSampler::new(1800);
-    let observed = run_packing_observed(
+    let observed = run_packing_with(
         &workload,
         &mut model,
-        None,
-        Some(&mut sampler),
+        RunOptions {
+            sampler: Some(&mut sampler),
+            ..RunOptions::default()
+        },
         &mut telemetry,
-    );
+    )
+    .outcome;
     assert_eq!(observed.opened_pms, plain.opened_pms);
     assert_eq!(observed.deployments, plain.deployments);
     assert_eq!(observed.rejections, plain.rejections);
@@ -130,11 +143,13 @@ fn prometheus_exposition_of_a_run_validates_and_profiles_the_hot_path() {
     let mut model = shared_pool();
     let mut telemetry = Telemetry::new();
     let mut sampler = ClusterSampler::new(3600);
-    run_packing_observed(
+    run_packing_with(
         &workload,
         &mut model,
-        None,
-        Some(&mut sampler),
+        RunOptions {
+            sampler: Some(&mut sampler),
+            ..RunOptions::default()
+        },
         &mut telemetry,
     );
 
@@ -159,7 +174,15 @@ fn occupancy_samples_downsample_onto_the_grid() {
     let workload = week_scenario();
     let mut model = shared_pool();
     let mut samples = Vec::new();
-    run_packing_with_samples(&workload, &mut model, Some(&mut samples));
+    run_packing_with(
+        &workload,
+        &mut model,
+        RunOptions {
+            samples: Some(&mut samples),
+            ..RunOptions::default()
+        },
+        &mut NullRecorder,
+    );
     assert!(!samples.is_empty());
 
     let store = store_from_samples(&samples, 6 * 3600);

@@ -130,8 +130,20 @@ proptest! {
         vms in prop::collection::vec(fuzz_vm(), 1..40),
     ) {
         let w = build_trace(&vms);
-        let mut pool = SharedDeployment::new(Arc::new(flat(32)), gib(128));
-        let (out, _) = slackvm::sim::run_packing_compacting(&w, &mut pool, 6 * 3600);
+        let mut pool = DeploymentModel::Shared(SharedDeployment::new(Arc::new(flat(32)), gib(128)));
+        let out = run_packing_with(
+            &w,
+            &mut pool,
+            RunOptions {
+                compact_every: Some(6 * 3600),
+                ..RunOptions::default()
+            },
+            &mut NullRecorder,
+        )
+        .outcome;
+        let DeploymentModel::Shared(pool) = pool else {
+            unreachable!("built shared above")
+        };
         prop_assert_eq!(out.rejections, 0);
         for host in pool.cluster.hosts() {
             prop_assert!(host.check_invariants().is_ok());

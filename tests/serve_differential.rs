@@ -7,7 +7,7 @@
 //! `ModelSpec`, so any divergence is a service bug, not a config skew.
 
 use slackvm::prelude::*;
-use slackvm::sim::{run_packing_recorded, EventQueue, SimEvent};
+use slackvm::sim::{EventQueue, SimEvent};
 use slackvm::telemetry::{Event, Telemetry};
 use slackvm::workload::scenarios;
 use slackvm_serve::{serve_replay, ModelSpec, Op, Outcome, PlacementService, ServeConfig};
@@ -20,7 +20,8 @@ fn offline_decisions(
 ) -> (Vec<(VmId, Option<PmId>)>, slackvm::sim::PackingOutcome) {
     let mut model = spec.build(1).expect("offline model");
     let mut telemetry = Telemetry::new();
-    let outcome = run_packing_recorded(workload, &mut model, &mut telemetry);
+    let outcome =
+        run_packing_with(workload, &mut model, RunOptions::default(), &mut telemetry).outcome;
     let decisions = telemetry
         .journal
         .iter()
@@ -206,16 +207,21 @@ fn online_failpm_evacuation_matches_offline_failure_injection() {
     // Offline oracle: the real failure-injection engine, recorded so
     // the per-arrival decisions and per-VM evacuation outcomes are
     // both visible.
-    let DeploymentModel::Shared(mut pool) = spec.build(1).expect("offline model") else {
-        panic!("shared spec builds a shared model");
-    };
+    let mut model = spec.build(1).expect("offline model");
     let mut telemetry = Telemetry::new();
-    let (outcome, stats) = slackvm::sim::run_packing_with_failures_recorded(
+    let run = run_packing_with(
         &workload,
-        &mut pool,
-        &failures,
+        &mut model,
+        RunOptions {
+            failures: &failures,
+            ..RunOptions::default()
+        },
         &mut telemetry,
     );
+    let (outcome, stats) = (run.outcome, run.failures);
+    let DeploymentModel::Shared(pool) = model else {
+        panic!("shared spec builds a shared model");
+    };
     let offline: Vec<(VmId, Option<PmId>)> = telemetry
         .journal
         .iter()

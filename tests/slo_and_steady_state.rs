@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use slackvm::perf::{Slo, SloPolicy};
 use slackvm::prelude::*;
-use slackvm::sim::{analyze_steady_state, run_packing_with_samples};
+use slackvm::sim::analyze_steady_state;
 use slackvm_suite::test_workload;
 
 #[test]
@@ -82,7 +82,15 @@ fn steady_state_of_a_real_replay_is_sane_for_both_models() {
             ))
         };
         let mut samples = Vec::new();
-        run_packing_with_samples(&w, &mut model, Some(&mut samples));
+        run_packing_with(
+            &w,
+            &mut model,
+            RunOptions {
+                samples: Some(&mut samples),
+                ..RunOptions::default()
+            },
+            &mut NullRecorder,
+        );
         let steady = analyze_steady_state(&samples).expect("long enough");
         // The ramp from the empty cluster is detected...
         assert!(steady.warmup_samples > 0);

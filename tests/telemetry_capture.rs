@@ -29,7 +29,8 @@ fn recorded_week_replay_round_trips_and_matches_outcome() {
 
     let mut model = shared_pool();
     let mut telemetry = Telemetry::new();
-    let out = run_packing_recorded(&workload, &mut model, &mut telemetry);
+    let out =
+        run_packing_with(&workload, &mut model, RunOptions::default(), &mut telemetry).outcome;
 
     // Recording must not perturb the simulation.
     assert_eq!(out.deployments, plain.deployments);
@@ -82,7 +83,7 @@ fn journal_timestamps_are_monotone_and_typed() {
     let workload = week_scenario();
     let mut model = shared_pool();
     let mut telemetry = Telemetry::new();
-    run_packing_recorded(&workload, &mut model, &mut telemetry);
+    run_packing_with(&workload, &mut model, RunOptions::default(), &mut telemetry);
 
     let mut last = 0;
     for record in telemetry.journal.iter() {
