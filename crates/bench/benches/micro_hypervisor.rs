@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use slackvm::hypervisor::{Host, PhysicalMachine};
 use slackvm::model::{gib, OversubLevel, PmId, VmId, VmSpec};
 use slackvm::topology::builders;
-use slackvm::topology::{DistanceMatrix, SelectionPolicy, TopologySelection};
+use slackvm::topology::{CoreId, CoreSet, DistanceMatrix, SelectionPolicy, TopologySelection};
 
 fn bench(c: &mut Criterion) {
     let epyc = builders::dual_epyc_7662();
@@ -17,13 +17,19 @@ fn bench(c: &mut Criterion) {
     });
 
     let selection = TopologySelection::new(DistanceMatrix::build(&epyc));
-    let members: Vec<_> = (0..32).map(slackvm::topology::CoreId).collect();
-    let free: Vec<_> = (32..256).map(slackvm::topology::CoreId).collect();
+    let members: CoreSet = (0..32).map(CoreId).collect();
+    let free: CoreSet = (32..256).map(CoreId).collect();
     c.bench_function("hypervisor/pick_expansion_224_free", |b| {
         b.iter(|| std::hint::black_box(selection.pick_expansion(&members, &free)))
     });
     c.bench_function("hypervisor/pick_seed_224_free", |b| {
         b.iter(|| std::hint::black_box(selection.pick_seed(&members, &free)))
+    });
+    // A socket-sized vNode: every member has an SMT sibling in the span,
+    // the case a departure from a large vNode meets.
+    let span: CoreSet = (0..128).map(CoreId).collect();
+    c.bench_function("hypervisor/pick_release_128_members", |b| {
+        b.iter(|| std::hint::black_box(selection.pick_release(&span)))
     });
 
     let topo = Arc::new(builders::dual_epyc_7662());

@@ -22,7 +22,7 @@ pub fn render_layout(machine: &PhysicalMachine) -> String {
     let mut legend = Vec::new();
     for (i, vnode) in machine.vnodes().enumerate() {
         for core in vnode.cores() {
-            owner.insert(*core, i);
+            owner.insert(core, i);
         }
         legend.push(format!(
             "  [{}] {}: {} VM(s), {} vCPUs on {} core(s), {:.1} GiB",

@@ -11,6 +11,10 @@
 //!   the vNode's current span; a brand-new vNode seeds from the core
 //!   *farthest* from every other vNode — maximizing cache/socket
 //!   isolation between levels.
+//! - Spans, the machine's assigned set and its free set are
+//!   [`slackvm_topology::CoreSet`] bitsets, and the selection policy
+//!   answers from per-topology tier masks, so resizing a vNode allocates
+//!   nothing and costs a few word operations per core moved.
 //! - Oversubscribed vNodes may be *pooled* (§V-B) for execution purposes:
 //!   the union of their cores plus any unassigned cores, provided the
 //!   strictest pooled level's `n:1` guarantee still holds over the union.
@@ -23,6 +27,8 @@
 #![warn(missing_docs)]
 
 pub mod compaction;
+#[cfg(test)]
+mod differential;
 pub mod dynamic;
 pub mod error;
 pub mod host;

@@ -1,10 +1,12 @@
 //! The partitioned SlackVM worker.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use slackvm_model::{AllocView, Millicores, OversubLevel, PmConfig, PmId, VmId, VmSpec};
-use slackvm_topology::{CoreId, CpuTopology, DistanceMatrix, SelectionPolicy, TopologySelection};
+use slackvm_topology::{
+    CoreId, CoreSet, CpuTopology, DistanceMatrix, SelectionPolicy, TopologySelection,
+};
 
 use crate::error::HypervisorError;
 use crate::host::Host;
@@ -41,7 +43,11 @@ pub struct PhysicalMachine {
     mem_used_mib: u64,
     vnodes: BTreeMap<OversubLevel, VNode>,
     /// Union of all vNode spans.
-    assigned: BTreeSet<CoreId>,
+    assigned: CoreSet,
+    /// Scratch for `grow_vnode`: the complement of `assigned`, rebuilt at
+    /// the start of each growth and meaningless in between. Kept here so
+    /// that growing allocates nothing.
+    free_scratch: CoreSet,
     vm_index: BTreeMap<VmId, OversubLevel>,
     churn: PinChurn,
 }
@@ -67,6 +73,7 @@ impl PhysicalMachine {
         mem_capacity_mib: u64,
         policy: Arc<dyn SelectionPolicy + Send + Sync>,
     ) -> Self {
+        let cores = topology.num_cores();
         PhysicalMachine {
             id,
             topology,
@@ -74,7 +81,8 @@ impl PhysicalMachine {
             mem_capacity_mib,
             mem_used_mib: 0,
             vnodes: BTreeMap::new(),
-            assigned: BTreeSet::new(),
+            assigned: CoreSet::with_capacity(cores),
+            free_scratch: CoreSet::with_capacity(cores),
             vm_index: BTreeMap::new(),
             churn: PinChurn::default(),
         }
@@ -124,11 +132,12 @@ impl PhysicalMachine {
         self.vnodes.values()
     }
 
-    /// Cores not assigned to any vNode, ascending.
+    /// Cores not assigned to any vNode, ascending — an allocating
+    /// convenience for pooling, reports and tests.
     pub fn free_cores(&self) -> Vec<CoreId> {
         self.topology
             .core_ids()
-            .filter(|c| !self.assigned.contains(c))
+            .filter(|&c| !self.assigned.contains(c))
             .collect()
     }
 
@@ -187,16 +196,15 @@ impl PhysicalMachine {
     /// Grows (or seeds) the vNode for `level` by `growth` cores, chosen
     /// one at a time by the selection policy.
     fn grow_vnode(&mut self, level: OversubLevel, growth: u32) -> Result<(), HypervisorError> {
-        let mut free = self.free_cores();
-        if (free.len() as u32) < growth {
+        let free_count = self.free_core_count();
+        if free_count < growth {
             return Err(HypervisorError::InsufficientCpu {
                 level,
                 needed: growth,
-                free: free.len() as u32,
+                free: free_count,
             });
         }
         let fresh = !self.vnodes.contains_key(&level);
-        let occupied: Vec<CoreId> = self.assigned.iter().copied().collect();
         let vnode = self
             .vnodes
             .entry(level)
@@ -204,19 +212,22 @@ impl PhysicalMachine {
         if fresh {
             self.churn.vnodes_created += 1;
         }
-        for step in 0..growth {
-            let members = vnode.core_vec();
-            let chosen = if members.is_empty() {
-                self.policy.pick_seed(&occupied, &free)
-            } else {
-                self.policy.pick_expansion(&members, &free)
-            }
-            .unwrap_or_else(|| unreachable!("free list sized above; step {step}"));
-            vnode.add_core(chosen);
-            self.assigned.insert(chosen);
-            free.retain(|&c| c != chosen);
-        }
         if growth > 0 {
+            let free = &mut self.free_scratch;
+            free.assign_complement(&self.assigned, self.topology.num_cores());
+            for step in 0..growth {
+                let chosen = if vnode.cores().is_empty() {
+                    // Seeding is only ever the first step, so `assigned`
+                    // is still what the other vNodes held at entry.
+                    self.policy.pick_seed(&self.assigned, free)
+                } else {
+                    self.policy.pick_expansion(vnode.cores(), free)
+                }
+                .unwrap_or_else(|| unreachable!("free set sized above; step {step}"));
+                vnode.add_core(chosen);
+                self.assigned.insert(chosen);
+                free.remove(chosen);
+            }
             let vms = vnode.num_vms();
             self.churn.record_expansion(growth, vms);
         }
@@ -232,10 +243,9 @@ impl PhysicalMachine {
         let surplus = vnode.surplus_cores();
         if surplus > 0 {
             for _ in 0..surplus {
-                let members = vnode.core_vec();
-                if let Some(victim) = self.policy.pick_release(&members) {
+                if let Some(victim) = self.policy.pick_release(vnode.cores()) {
                     vnode.release_core(victim);
-                    self.assigned.remove(&victim);
+                    self.assigned.remove(victim);
                 }
             }
             let vms = vnode.num_vms();
@@ -268,11 +278,7 @@ impl PhysicalMachine {
             .ok_or(HypervisorError::UnknownVm(id))?;
         let new_spec = VmSpec::of(new_vcpus.max(1), new_mem_mib.max(1), level);
         let vnode = self.vnodes.get(&level).expect("indexed vNode exists");
-        let old_spec = *vnode
-            .vms()
-            .find(|(vm, _)| **vm == id)
-            .map(|(_, spec)| spec)
-            .expect("indexed VM exists in vNode");
+        let old_spec = *vnode.spec_of(id).expect("indexed VM exists in vNode");
 
         // Feasibility first: memory...
         let mem_grow = new_spec.mem_mib().saturating_sub(old_spec.mem_mib());
@@ -307,11 +313,11 @@ impl PhysicalMachine {
 
     /// Verifies internal invariants; used by tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut seen = BTreeSet::new();
+        let mut seen = CoreSet::new();
         for vnode in self.vnodes.values() {
             // Spans are disjoint.
             for core in vnode.cores() {
-                if !seen.insert(*core) {
+                if !seen.insert(core) {
                     return Err(format!("core {core} in two vNodes"));
                 }
                 if !self.assigned.contains(core) {
@@ -339,6 +345,11 @@ impl PhysicalMachine {
         }
         if seen.len() != self.assigned.len() {
             return Err("assigned set contains cores of no vNode".into());
+        }
+        if let Some(core) = self.assigned.last() {
+            if core.0 >= self.topology.num_cores() {
+                return Err(format!("core {core} is not in the topology"));
+            }
         }
         let mem: u64 = self.vnodes.values().map(|v| v.total_mem_mib()).sum();
         if mem != self.mem_used_mib {

@@ -1,12 +1,12 @@
 //! The vNode: an exclusive group of cores hosting one oversubscription
 //! level's VMs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use slackvm_model::{OversubLevel, VmId, VmSpec};
-use slackvm_topology::CoreId;
+use slackvm_topology::{CoreId, CoreSet};
 
 /// A dynamic resource partition: whole cores + the VM set pinned to them.
 ///
@@ -16,7 +16,7 @@ use slackvm_topology::CoreId;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VNode {
     level: OversubLevel,
-    cores: BTreeSet<CoreId>,
+    cores: CoreSet,
     vms: BTreeMap<VmId, VmSpec>,
     total_vcpus: u32,
     total_mem_mib: u64,
@@ -27,7 +27,7 @@ impl VNode {
     pub fn new(level: OversubLevel) -> Self {
         VNode {
             level,
-            cores: BTreeSet::new(),
+            cores: CoreSet::new(),
             vms: BTreeMap::new(),
             total_vcpus: 0,
             total_mem_mib: 0,
@@ -40,14 +40,15 @@ impl VNode {
         self.level
     }
 
-    /// The pinned core span, ascending.
-    pub fn cores(&self) -> &BTreeSet<CoreId> {
+    /// The pinned core span.
+    pub fn cores(&self) -> &CoreSet {
         &self.cores
     }
 
-    /// The span as a vector (for distance queries).
+    /// The span as an ascending vector — an allocating convenience for
+    /// reports and tests; the resize path reads [`VNode::cores`].
     pub fn core_vec(&self) -> Vec<CoreId> {
-        self.cores.iter().copied().collect()
+        self.cores.iter().collect()
     }
 
     /// Number of cores in the span.
@@ -88,6 +89,11 @@ impl VNode {
     /// Whether `id` is hosted here.
     pub fn hosts(&self, id: VmId) -> bool {
         self.vms.contains_key(&id)
+    }
+
+    /// The spec `id` was admitted (or last resized) with.
+    pub fn spec_of(&self, id: VmId) -> Option<&VmSpec> {
+        self.vms.get(&id)
     }
 
     /// Cores the span must hold to host the current VMs **plus** `extra`
@@ -141,7 +147,7 @@ impl VNode {
 
     /// Removes a core from the span.
     pub(crate) fn release_core(&mut self, core: CoreId) {
-        let removed = self.cores.remove(&core);
+        let removed = self.cores.remove(core);
         debug_assert!(removed, "core {core} not in span");
     }
 
@@ -219,6 +225,8 @@ mod tests {
         v.insert_vm(VmId(0), spec(2, 2, 1));
         assert!(v.hosts(VmId(0)));
         assert!(!v.hosts(VmId(1)));
+        assert_eq!(v.spec_of(VmId(0)), Some(&spec(2, 2, 1)));
+        assert_eq!(v.spec_of(VmId(1)), None);
         assert_eq!(v.num_vms(), 1);
         assert_eq!(v.num_cores(), 2);
         assert_eq!(v.core_vec(), vec![CoreId(0), CoreId(1)]);

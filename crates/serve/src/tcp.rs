@@ -161,7 +161,7 @@ fn handle_connection(
             break;
         }
         let mut answered: Option<Reply> = None;
-        let response = match wire::parse_request(&line) {
+        let mut response = match wire::parse_request(&line) {
             Ok(wire::WireRequest::Op(op)) => {
                 stats.requests.fetch_add(1, Ordering::Relaxed);
                 match service.call_from(op.clone(), door) {
@@ -206,8 +206,14 @@ fn handle_connection(
                 wire::render_error("parse", None, &e.to_string().replace('"', "'"))
             }
         };
+        response.push('\n');
         let write_started = Instant::now();
-        if writeln!(writer, "{response}").is_err() || writer.flush().is_err() {
+        // One `write` per reply: `writeln!` on the bare socket hands the
+        // line and its newline to the kernel separately, and with Nagle
+        // off that is two segments and up to two wake-ups of the client —
+        // how many depends on how the two race, so a round trip's cost
+        // would vary with scheduling rather than with the work done.
+        if writer.write_all(response.as_bytes()).is_err() {
             break;
         }
         // The reply's bytes are on the wire: close the lifecycle's
@@ -305,6 +311,31 @@ mod tests {
         assert_eq!(tcp_stats.bad_lines, 1);
         assert!(tcp_stats.requests >= 4);
         report.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_reply_arrives_whole_in_one_read() {
+        use std::io::Read;
+        let server = server();
+        let addr = server.local_addr().unwrap();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut buf = [0u8; 512];
+        for id in 0..50 {
+            let line = format!(
+                "{{\"op\":\"place\",\"id\":{id},\"vcpus\":1,\"mem_mib\":64,\"level\":1}}\n"
+            );
+            stream.write_all(line.as_bytes()).unwrap();
+            // One line in flight, so whatever the first read returns is
+            // what the server's first write carried: the whole line, with
+            // its newline, not the line now and the newline later.
+            let n = stream.read(&mut buf).unwrap();
+            assert_eq!(buf[..n].last(), Some(&b'\n'), "reply {id} came in pieces");
+            assert!(wire::parse_reply(std::str::from_utf8(&buf[..n]).unwrap()).is_ok());
+        }
+        writeln!(stream, "{{\"op\":\"shutdown\"}}").unwrap();
+        handle.join().unwrap();
     }
 
     #[test]

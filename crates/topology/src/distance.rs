@@ -61,9 +61,9 @@ impl DistanceMatrix {
             // Exploit symmetry: compute the upper triangle and mirror.
             for j in i..n {
                 let d = core_distance(topo, CoreId(i as u32), CoreId(j as u32));
-                debug_assert!(d <= u16::MAX as u32, "distance overflows u16");
-                table[i * n + j] = d as u16;
-                table[j * n + i] = d as u16;
+                let d = u16::try_from(d).expect("CpuTopology::new bounds every core distance");
+                table[i * n + j] = d;
+                table[j * n + i] = d;
             }
         }
         DistanceMatrix { n, table }

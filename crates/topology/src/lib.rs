@@ -16,19 +16,24 @@
 //!   testbed, generic monolithic-LLC hosts, flat single-socket hosts) plus
 //!   a custom [`builders::TopologyBuilder`];
 //! - [`distance`]: paper Algorithm 1 and a precomputed [`distance::DistanceMatrix`];
+//! - [`coreset`]: [`CoreSet`], the `u64`-word bitset that holds every set of
+//!   CPUs the local scheduler keeps (vNode spans, assigned and free cores);
 //! - [`select`]: the core-selection policies ("closest to the vNode" for
-//!   growth, "farthest from other vNodes" for seeding) and a naive policy
-//!   used by the ablation benchmarks.
+//!   growth, "farthest from other vNodes" for seeding, "farthest from the
+//!   rest" for release), answered from per-topology tier masks over
+//!   `CoreSet` words, and a naive policy used by the ablation benchmarks.
 
 #![warn(missing_docs)]
 
 pub mod builders;
+pub mod coreset;
 pub mod distance;
 pub mod select;
 pub mod spec;
 pub mod topo;
 
 pub use builders::TopologyBuilder;
+pub use coreset::CoreSet;
 pub use distance::{core_distance, DistanceMatrix};
 pub use select::{NaiveSelection, SelectionPolicy, TopologySelection};
 pub use spec::{parse_spec, topology_from_spec, SpecError};

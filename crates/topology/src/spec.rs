@@ -155,6 +155,30 @@ mod tests {
     }
 
     #[test]
+    fn numa_distance_that_would_wrap_u16_is_rejected() {
+        // Algorithm 1 gives 30 + 65516 = 65546 across sockets, which a
+        // `u16` table stores as 10 — closer than a same-socket neighbour.
+        let err = topology_from_spec("sockets=2 cores=4 remote=65516").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpecError::Topology(TopologyError::NumaDistanceTooLarge {
+                    distance: 65516,
+                    ..
+                })
+            ),
+            "{err}"
+        );
+        // The largest distance that still fits builds, and the matrix
+        // returns it unchanged.
+        let topo = topology_from_spec("sockets=2 cores=4 remote=65505").unwrap();
+        let matrix = crate::DistanceMatrix::build(&topo);
+        assert_eq!(crate::core_distance(&topo, CoreId(0), CoreId(4)), 65535);
+        assert_eq!(matrix.get(CoreId(0), CoreId(4)), 65535);
+        assert_eq!(matrix.get(CoreId(0), CoreId(1)), 20);
+    }
+
+    #[test]
     fn empty_spec_misses_cores() {
         assert_eq!(topology_from_spec("").unwrap_err(), SpecError::MissingCores);
     }

@@ -94,6 +94,23 @@ pub enum TopologyError {
         /// Expected entries.
         nodes: usize,
     },
+
+    /// Algorithm 1 adds 10 per cache level to the NUMA distance and the
+    /// sum is stored as a `u16` ([`crate::DistanceMatrix`]); a larger
+    /// value would wrap and rank a remote node as the nearest.
+    #[error(
+        "NUMA distance {distance} from node {from} to node {to} is too large: with {levels} cache level(s) at 10 each, core distances must stay within 65535"
+    )]
+    NumaDistanceTooLarge {
+        /// Source NUMA node.
+        from: usize,
+        /// Destination NUMA node.
+        to: usize,
+        /// The offending table entry.
+        distance: u32,
+        /// Cache levels of the topology.
+        levels: usize,
+    },
 }
 
 /// An immutable description of a machine's schedulable CPUs.
@@ -148,6 +165,17 @@ impl CpuTopology {
             }
         }
         let height = height.min(MAX_CACHE_LEVELS);
+        let room = u32::from(u16::MAX) - 10 * height as u32;
+        for (from, entries) in numa_distances.iter().enumerate() {
+            if let Some(to) = entries.iter().position(|&d| d > room) {
+                return Err(TopologyError::NumaDistanceTooLarge {
+                    from,
+                    to,
+                    distance: entries[to],
+                    levels: height,
+                });
+            }
+        }
         Ok(CpuTopology {
             cores,
             height,
