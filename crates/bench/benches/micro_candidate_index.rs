@@ -1,6 +1,10 @@
 //! Micro-benchmarks of the incremental placement index against the
 //! naive full-fleet rescan it replaces: per-event candidate assembly,
 //! dirty-slot refresh, and an end-to-end replay A/B at fleet scale.
+//! The `selective` gather at 8192 PMs is the regime the index's single
+//! slot scan gave up (DESIGN.md §9): a range structure over free memory
+//! would visit a handful of hosts there. Rerun it before reintroducing
+//! one, and pair it with a `BENCHMARK.json` workload of that scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slackvm::model::{gib, AllocView, Millicores, OversubLevel, PmConfig, PmId, VmSpec};
@@ -40,10 +44,10 @@ fn populated_index(n: u32) -> CandidateIndex {
 }
 
 fn bench(c: &mut Criterion) {
-    // Two admission regimes: a small VM almost every PM can take (the
-    // gather degenerates to a full scan) and a large VM only the
-    // near-empty tail of the fleet can take (the bucket scan skips the
-    // packed majority).
+    // Two admission regimes: a small VM almost every PM can take and a
+    // large VM only the near-empty tail of the fleet can take. The
+    // index scans every slot in both; what differs is how many
+    // candidates it copies out.
     let small = VmSpec::of(2, gib(12), OversubLevel::of(3));
     let large = VmSpec::of(16, gib(112), OversubLevel::of(3));
 

@@ -10,9 +10,10 @@
 //! scorer alone (`score_pressure`: one fleet sweep with hysteresis
 //! classification) and the full plan pipeline (`plan_mitigation`:
 //! score, shadow clone, hottest-first drain through the candidate
-//! index). Record medians in BENCH_replay.json when they move, noting
-//! fleet size next to each figure — both passes scale with live PMs,
-//! not with trace length.
+//! index). The record of these costs is the `plan_pressure` workload
+//! of `benchmark/README.md` (`pressure.score_us` / `.plan_us` under
+//! `--trace 1`); quote fleet size next to any figure — both passes
+//! scale with live PMs, not with trace length.
 
 use std::collections::BTreeMap;
 

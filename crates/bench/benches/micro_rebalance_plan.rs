@@ -8,9 +8,11 @@
 //! models and measures the full plan pipeline (`plan_rebalance`: shadow
 //! clone, victim ordering, candidate-indexed drain) and the validator
 //! alone (`validate_plan`: the "checked, not trusted" replay the
-//! executor pays again before moving anything). Record medians in
-//! BENCH_replay.json when they move, noting fleet size next to each
-//! figure — plan cost scales with live PMs, not with trace length.
+//! executor pays again before moving anything). The record of these
+//! costs is the `plan_rebalance` workload of `benchmark/README.md`
+//! (`rebalance.plan_us` / `.validate_us` under `--trace 1`); quote fleet
+//! size next to any figure — plan cost scales with live PMs, not with
+//! trace length.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slackvm::prelude::*;

@@ -6,9 +6,9 @@
 //! round-trip latency probe. Each iteration starts a fresh service so
 //! runs are independent; the reported figure is the full
 //! submit→route→batch→reply pipeline, not just the placement decision.
-//! Record the observed decisions/sec in BENCH_serve.json when they
-//! move (and note the host's core count — shard scaling is meaningless
-//! on a single-core container).
+//! The record of service throughput is the `serve_inproc` workload of
+//! `benchmark/README.md`; note the host's core count next to any figure
+//! from here — shard scaling is meaningless on a single-core container.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slackvm_serve::{run_closed_loop, BombardConfig, ModelSpec, Op, PlacementService, ServeConfig};

@@ -7,9 +7,9 @@
 //! `sampled` at 1-in-1 (every request additionally emits five
 //! Chrome-trace spans and feeds the slow-request digest — the
 //! worst-case sampling bill, real deployments run 1-in-N). A closed-
-//! loop throughput pass at the default level guards the admission
-//! numbers in BENCH_serve.json: `stages` must stay within noise of the
-//! pre-tracing baseline recorded there.
+//! loop throughput pass at the default level guards the `serve_inproc`
+//! baseline of `benchmark/README.md`: `stages` must stay within noise
+//! of the `off` row measured beside it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slackvm_serve::{

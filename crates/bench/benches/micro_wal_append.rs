@@ -5,9 +5,10 @@
 //! synchronous client produces) and one commit per 64-record batch
 //! (what a loaded shard actually does). The spread between `off` and
 //! `every` is the price of the durability guarantee; `interval` shows
-//! the bounded-loss middle ground. Record medians in BENCH_serve.json
-//! when they move, noting the fsync policy next to each figure — an
-//! `off` number quoted as WAL overhead would be a lie.
+//! the bounded-loss middle ground. The record is `durable.append_ns` /
+//! `durable.commit_p50_us` of a `--trace 1` run of `serve_tcp_durable`
+//! (`benchmark/README.md`); quote the fsync policy next to any figure —
+//! an `off` number quoted as WAL overhead would be a lie.
 
 use std::time::Duration;
 

@@ -477,58 +477,24 @@ fn parse_policy(raw: &str) -> Result<slackvm::sched::PlacementPolicy, CliError> 
     })
 }
 
+/// Resolves the `--index` flag (default `incremental`).
+fn parse_index(args: &Args) -> Result<IndexMode, CliError> {
+    let raw = args.get_or("index", "incremental");
+    IndexMode::parse(raw).ok_or_else(|| {
+        CliError::Invalid(format!("unknown index mode {raw:?} (naive, incremental)"))
+    })
+}
+
 /// Builds the deployment model the trace-replaying commands (`replay`,
 /// `rebalance`) run against, from the shared `--model`/`--policy`/
 /// `--fleet`/`--topology`/`--mem`/`--index` flag family. Everything is
 /// validated here, before the caller touches the (potentially large)
 /// trace file, so a typo dies in microseconds.
 fn trace_model(args: &Args) -> Result<DeploymentModel, CliError> {
-    let fleet: Option<u32> = args.get_parsed("fleet")?;
-    let topo = slackvm::topology::topology_from_spec(args.get_or("topology", "cores=32"))
-        .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let mem = gib(args.get_parsed_or("mem", 128)?);
-    let mut model = match args.get_or("model", "shared") {
-        "dedicated" => {
-            if args.get("policy").is_some() {
-                return Err(CliError::Invalid(
-                    "--policy applies to the shared model only (dedicated packs first-fit per level)"
-                        .into(),
-                ));
-            }
-            DeploymentModel::Dedicated(DedicatedDeployment::new(
-                PmConfig::of(topo.num_cores(), mem),
-                [
-                    OversubLevel::of(1),
-                    OversubLevel::of(2),
-                    OversubLevel::of(3),
-                ],
-            ))
-        }
-        "shared" => {
-            let topo = Arc::new(topo.clone());
-            let policy = parse_policy(args.get_or("policy", "progress+bestfit"))?;
-            DeploymentModel::Shared(match fleet {
-                Some(n) => {
-                    let mut pool = SharedDeployment::with_capped_cluster(topo, mem, n);
-                    pool.policy = policy;
-                    pool
-                }
-                None => SharedDeployment::with_policy(topo, mem, policy),
-            })
-        }
-        other => {
-            return Err(CliError::Invalid(format!(
-                "unknown model {other:?} (dedicated, shared)"
-            )))
-        }
-    };
-    let index_raw = args.get_or("index", "incremental");
-    let index_mode = IndexMode::parse(index_raw).ok_or_else(|| {
-        CliError::Invalid(format!(
-            "unknown index mode {index_raw:?} (naive, incremental)"
-        ))
-    })?;
-    model.set_index_mode(index_mode);
+    let mut model = serve_model_spec(args)?
+        .build(1)
+        .map_err(CliError::Invalid)?;
+    model.set_index_mode(parse_index(args)?);
     Ok(model)
 }
 
@@ -1422,12 +1388,7 @@ fn serve_pressure(args: &Args) -> Result<Option<slackvm_serve::PressureOptions>,
 
 /// The serve/bombard options that shape the service itself.
 fn serve_config(args: &Args) -> Result<slackvm_serve::ServeConfig, CliError> {
-    let index_raw = args.get_or("index", "incremental");
-    let index = IndexMode::parse(index_raw).ok_or_else(|| {
-        CliError::Invalid(format!(
-            "unknown index mode {index_raw:?} (naive, incremental)"
-        ))
-    })?;
+    let index = parse_index(args)?;
     Ok(slackvm_serve::ServeConfig {
         shards: args.get_parsed_or("shards", 1)?,
         queue_depth: args.get_parsed_or("queue-depth", 1024)?,
@@ -1778,7 +1739,6 @@ fn durable_models(
 ) -> Result<(slackvm_durable::Manifest, Vec<DeploymentModel>), CliError> {
     let manifest =
         slackvm_durable::Manifest::load(dir).map_err(|e| CliError::Invalid(e.to_string()))?;
-    let spec = slackvm_serve::ModelSpec::from_manifest_model(&manifest.model);
     let index = IndexMode::parse(&manifest.index).ok_or_else(|| {
         CliError::Invalid(format!(
             "manifest names unknown index mode {:?}",
@@ -1787,9 +1747,10 @@ fn durable_models(
     })?;
     let models = (0..manifest.shards)
         .map(|_| {
-            let mut model = spec
+            let mut model = manifest
+                .model
                 .build(manifest.shards)
-                .map_err(|e| CliError::Invalid(e.to_string()))?;
+                .map_err(CliError::Invalid)?;
             model.set_index_mode(index);
             Ok(model)
         })

@@ -14,10 +14,9 @@ pub use slackvm_perf::{
     Fig2Outcome, Fig2Scenario, MmcModel, Percentiles, Slo, SloPolicy, SlowdownCurve,
 };
 pub use slackvm_sched::{
-    progress_score, AntiAffinityFilter, BestFitScorer, Candidate, CandidateIndex, CompositeScorer,
-    CpuCeilingFilter, DotProductScorer, Filter, IndexMode, MaxVmsFilter, NormBasedGreedyScorer,
-    PlacementPolicy, ProgressConfig, ProgressScorer, ResourceFilter, Scheduler, Scorer, VCluster,
-    WorstFitScorer,
+    progress_score, BestFitScorer, Candidate, CandidateIndex, CompositeScorer, DotProductScorer,
+    IndexMode, NormBasedGreedyScorer, PlacementPolicy, ProgressConfig, ProgressScorer, Scorer,
+    VCluster, WorstFitScorer,
 };
 pub use slackvm_sim::{
     analyze_steady_state, run_packing, run_packing_with, store_from_samples, Cluster,

@@ -47,7 +47,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use error::DurableError;
-pub use manifest::{Manifest, ManifestModel, MANIFEST_FILE};
+pub use manifest::{Manifest, MANIFEST_FILE};
 pub use recovery::{fsck_shard, recover_shard, shard_dir, FsckReport, RecoveryReport};
 pub use shard::{DurableOptions, ShardDurable};
 pub use slackvm_telemetry::FsyncPolicy;

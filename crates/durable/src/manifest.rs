@@ -2,8 +2,9 @@
 //!
 //! One small `key=value` text file at the root of a state directory
 //! recording the service shape the journals were written under: shard
-//! count, deployment model, index mode. `slackvm recover` and
-//! `slackvm fsck` rebuild deployment models from it without any
+//! count, deployment model (the service's own
+//! [`ModelSpec`], stored as is), index mode. `slackvm recover` and
+//! `slackvm fsck` build deployment models from it without any
 //! service configuration on the command line, and a restarting service
 //! refuses a directory whose manifest disagrees with its own
 //! configuration — silently replaying a 4-shard journal into 2 shards
@@ -17,6 +18,8 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
+use slackvm_sim::ModelSpec;
+
 use crate::error::DurableError;
 
 /// Manifest file name within a state directory.
@@ -24,50 +27,15 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 
 const HEADER: &str = "slackvm-durable-manifest";
 
-/// The deployment model each shard owns, as the durability layer
-/// records it. Mirrors `slackvm-serve`'s `ModelSpec` (conversions live
-/// there — the service depends on this crate, not the reverse).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ManifestModel {
-    /// A SlackVM shared pool per shard.
-    Shared {
-        /// Worker topology spec (e.g. `"cores=32"`).
-        topology: String,
-        /// Worker memory in MiB.
-        mem_mib: u64,
-        /// Placement-policy name.
-        policy: String,
-        /// Total fleet cap across shards, if capped.
-        fleet_cap: Option<u32>,
-    },
-    /// The dedicated per-level baseline per shard.
-    Dedicated {
-        /// Worker topology spec.
-        topology: String,
-        /// Worker memory in MiB.
-        mem_mib: u64,
-    },
-}
-
-impl ManifestModel {
-    /// The model's manifest name (`shared` / `dedicated`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ManifestModel::Shared { .. } => "shared",
-            ManifestModel::Dedicated { .. } => "dedicated",
-        }
-    }
-}
-
 /// The service shape a state directory was written under.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// Number of shards (and `shard-N/` subdirectories).
     pub shards: u32,
     /// Candidate-assembly mode name (`"incremental"` / `"naive"`).
     pub index: String,
     /// Per-shard deployment model.
-    pub model: ManifestModel,
+    pub model: ModelSpec,
 }
 
 impl Manifest {
@@ -78,7 +46,7 @@ impl Manifest {
             self.shards, self.index
         );
         match &self.model {
-            ManifestModel::Shared {
+            ModelSpec::Shared {
                 topology,
                 mem_mib,
                 policy,
@@ -91,7 +59,7 @@ impl Manifest {
                     out.push_str(&format!("fleet_cap={cap}\n"));
                 }
             }
-            ManifestModel::Dedicated { topology, mem_mib } => {
+            ModelSpec::Dedicated { topology, mem_mib } => {
                 out.push_str(&format!(
                     "model=dedicated\ntopology={topology}\nmem_mib={mem_mib}\n"
                 ));
@@ -139,7 +107,7 @@ impl Manifest {
             get("mem_mib").ok_or_else(|| err("missing mem_mib".into()))?,
         )?;
         let model = match get("model").as_deref() {
-            Some("shared") => ManifestModel::Shared {
+            Some("shared") => ModelSpec::Shared {
                 topology,
                 mem_mib,
                 policy: get("policy").ok_or_else(|| err("missing policy".into()))?,
@@ -148,7 +116,7 @@ impl Manifest {
                     None => None,
                 },
             },
-            Some("dedicated") => ManifestModel::Dedicated { topology, mem_mib },
+            Some("dedicated") => ModelSpec::Dedicated { topology, mem_mib },
             Some(other) => return Err(err(format!("unknown model `{other}`"))),
             None => return Err(err("missing model".into())),
         };
@@ -192,7 +160,7 @@ mod tests {
         Manifest {
             shards: 4,
             index: "incremental".into(),
-            model: ManifestModel::Shared {
+            model: ModelSpec::Shared {
                 topology: "cores=32".into(),
                 mem_mib: 131072,
                 policy: "progress+bestfit".into(),
@@ -201,22 +169,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn text_roundtrips_both_models() {
-        let dedicated = Manifest {
+    fn dedicated() -> Manifest {
+        Manifest {
             shards: 1,
             index: "naive".into(),
-            model: ManifestModel::Dedicated {
+            model: ModelSpec::Dedicated {
                 topology: "cores=8,smt=2".into(),
                 mem_mib: 65536,
             },
-        };
-        for m in [shared(), dedicated] {
+        }
+    }
+
+    #[test]
+    fn text_roundtrips_both_models() {
+        for m in [shared(), dedicated()] {
             assert_eq!(Manifest::parse(&m.to_text()).unwrap(), m);
         }
-        // topology values contain '=' — must survive.
-        let text = shared().to_text();
-        assert!(text.contains("topology=cores=32"), "{text}");
+    }
+
+    /// The on-disk format is frozen at version 1: these are the bytes
+    /// the format has always produced (topology values contain '='),
+    /// so a directory written by any earlier build still loads.
+    #[test]
+    fn text_form_is_the_version_1_golden() {
+        assert_eq!(
+            shared().to_text(),
+            "slackvm-durable-manifest\nversion=1\nshards=4\nindex=incremental\n\
+             model=shared\ntopology=cores=32\nmem_mib=131072\n\
+             policy=progress+bestfit\nfleet_cap=64\n"
+        );
+        assert_eq!(
+            dedicated().to_text(),
+            "slackvm-durable-manifest\nversion=1\nshards=1\nindex=naive\n\
+             model=dedicated\ntopology=cores=8,smt=2\nmem_mib=65536\n"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use slackvm_model::{AllocView, PmConfig, PmId, VmId, VmSpec};
 use crate::error::HypervisorError;
 
 /// A conservative admission bound a host publishes for cheap pre-filtering
-/// (the placement index's bucket key).
+/// (the placement index's admission key).
 ///
 /// "Conservative" means: a VM exceeding either bound is *provably*
 /// unhostable, while one within both bounds may still be rejected by

@@ -4,8 +4,11 @@
 //!
 //! Cloud control planes pick a PM for each deployment by **filtering**
 //! candidates on hard constraints and **scoring** the survivors on soft
-//! ones. SlackVM does not replace that pipeline; it contributes one new
-//! scorer — the *progress towards the target Memory-per-Core ratio*
+//! ones. Here the hard constraints are capacity only: the index's
+//! admission gate skips PMs that provably cannot fit the VM and the
+//! host's own `can_host` decides the rest (both applied by
+//! `slackvm_sim::Cluster`). SlackVM does not replace that pipeline; it
+//! contributes one new scorer — the *progress towards the target Memory-per-Core ratio*
 //! (paper Algorithm 2, [`progress::progress_score`]) — that makes the
 //! scheduler prefer PMs whose resource-ratio imbalance the candidate VM
 //! would counteract.
@@ -20,23 +23,21 @@
 //! - [`pipeline`]: candidate views and the placement policies
 //!   (First-Fit and score-based selection) used by the simulator;
 //! - [`index`]: the incremental placement index — dirty-tracked per-PM
-//!   candidate state with conservative admission buckets, so replay
-//!   deployments stop rescanning the whole fleet per event;
+//!   candidate state behind a conservative admission gate, so replay
+//!   deployments stop re-querying every host per event;
 //! - [`vcluster`]: the vCluster abstraction — a per-level view over a
 //!   shared pool of SlackVM workers.
 
 #![warn(missing_docs)]
 
-pub mod filters;
 pub mod index;
 pub mod pipeline;
 pub mod progress;
 pub mod scorers;
 pub mod vcluster;
 
-pub use filters::{AntiAffinityFilter, CpuCeilingFilter, Filter, MaxVmsFilter, ResourceFilter};
 pub use index::{AdmissionKey, CandidateIndex, GatherStats, IndexMode};
-pub use pipeline::{Candidate, PlacementPolicy, Scheduler, POLICY_NAMES};
+pub use pipeline::{Candidate, PlacementPolicy, POLICY_NAMES};
 pub use progress::{progress_score, ratio_distance, ProgressConfig};
 pub use scorers::{
     BestFitScorer, CompositeScorer, DotProductScorer, NormBasedGreedyScorer, ProgressScorer,

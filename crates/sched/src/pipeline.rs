@@ -1,11 +1,11 @@
-//! The filter-then-score placement pipeline.
+//! Candidate views and the placement policies that choose among them.
 
 use slackvm_model::{AllocView, PmConfig, PmId, VmSpec};
 use slackvm_telemetry::Recorder;
 
 use crate::scorers::Scorer;
 
-/// A PM presented to the filter/score pipeline: the information a cloud
+/// A PM presented to a placement policy: the information a cloud
 /// control plane gathers from each local scheduler.
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate {
@@ -189,82 +189,6 @@ impl PlacementPolicy {
 impl std::fmt::Debug for PlacementPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "PlacementPolicy::{}", self.name())
-    }
-}
-
-/// The full control-plane pipeline: hard-constraint filters followed by
-/// the placement policy (paper §II-B's two-stage selection).
-pub struct Scheduler {
-    filters: Vec<Box<dyn crate::filters::Filter>>,
-    policy: PlacementPolicy,
-}
-
-impl Scheduler {
-    /// Builds a pipeline from a policy, with no extra filters.
-    pub fn new(policy: PlacementPolicy) -> Self {
-        Scheduler {
-            filters: Vec::new(),
-            policy,
-        }
-    }
-
-    /// Appends a hard-constraint filter.
-    pub fn with_filter(mut self, filter: impl crate::filters::Filter + 'static) -> Self {
-        self.filters.push(Box::new(filter));
-        self
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> &PlacementPolicy {
-        &self.policy
-    }
-
-    /// Filter names, in evaluation order.
-    pub fn filter_names(&self) -> Vec<&'static str> {
-        self.filters.iter().map(|f| f.name()).collect()
-    }
-
-    /// Runs the pipeline: drops candidates failing any filter, then
-    /// delegates to the policy.
-    pub fn place(&self, candidates: &[Candidate], vm: &VmSpec) -> Option<PmId> {
-        self.place_recorded(candidates, vm, &mut slackvm_telemetry::NullRecorder)
-    }
-
-    /// [`Scheduler::place`] with per-stage telemetry: a span over the
-    /// whole pipeline, a count of filtered-out candidates, and the
-    /// scoring-loop span from [`PlacementPolicy::select_recorded`].
-    pub fn place_recorded<R: Recorder>(
-        &self,
-        candidates: &[Candidate],
-        vm: &VmSpec,
-        recorder: &mut R,
-    ) -> Option<PmId> {
-        let span = recorder.begin("sched.place");
-        let filter_span = recorder.begin("sched.filter");
-        let surviving: Vec<Candidate> = candidates
-            .iter()
-            .filter(|c| self.filters.iter().all(|f| f.accepts(c, vm)))
-            .copied()
-            .collect();
-        recorder.end(filter_span);
-        if recorder.enabled() {
-            recorder.count(
-                "sched.filtered_out",
-                (candidates.len() - surviving.len()) as u64,
-            );
-        }
-        let picked = self.policy.select_recorded(&surviving, vm, recorder);
-        recorder.end(span);
-        picked
-    }
-}
-
-impl std::fmt::Debug for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduler")
-            .field("filters", &self.filter_names())
-            .field("policy", &self.policy)
-            .finish()
     }
 }
 
@@ -528,45 +452,5 @@ mod tests {
         let mut null = NullRecorder;
         assert!(!null.enabled());
         assert_eq!(policy.select_recorded(&cands, &spec, &mut null), recorded);
-    }
-
-    #[test]
-    fn recorded_pipeline_counts_filter_drops() {
-        use crate::filters::MaxVmsFilter;
-        use slackvm_telemetry::Telemetry;
-        let sched =
-            Scheduler::new(PlacementPolicy::FirstFit).with_filter(MaxVmsFilter { max_vms: 5 });
-        let mut crowded = cand(0, 4, 4);
-        crowded.vms = 9;
-        let cands = vec![crowded, cand(2, 0, 0)];
-        let mut telemetry = Telemetry::new();
-        let picked = sched.place_recorded(&cands, &vm(1, 1), &mut telemetry);
-        assert_eq!(picked, Some(PmId(2)));
-        assert_eq!(telemetry.metrics.counter("sched.filtered_out"), 1);
-        assert_eq!(telemetry.metrics.counter("sched.candidates_scored"), 1);
-        // The pipeline, filter, and scoring spans were all timed.
-        let names: Vec<&str> = telemetry.trace.spans().iter().map(|s| s.name).collect();
-        assert!(names.contains(&"sched.place"));
-        assert!(names.contains(&"sched.filter"));
-        assert!(names.contains(&"sched.select"));
-        assert!(telemetry.metrics.histogram("sched.select").is_some());
-        assert!(telemetry.metrics.histogram("sched.filter").is_some());
-    }
-
-    #[test]
-    fn scheduler_pipeline_filters_then_scores() {
-        use crate::filters::{AntiAffinityFilter, MaxVmsFilter};
-        let sched = Scheduler::new(PlacementPolicy::FirstFit)
-            .with_filter(AntiAffinityFilter::excluding([PmId(1)]))
-            .with_filter(MaxVmsFilter { max_vms: 5 });
-        assert_eq!(sched.filter_names(), vec!["anti-affinity", "max-vms"]);
-        let mut crowded = cand(0, 4, 4);
-        crowded.vms = 9;
-        let cands = vec![crowded, cand(1, 0, 0), cand(2, 0, 0)];
-        // PM 0 is over the density cap, PM 1 is anti-affine: PM 2 wins.
-        assert_eq!(sched.place(&cands, &vm(1, 1)), Some(PmId(2)));
-        // All filtered out -> None.
-        let cands = vec![crowded, cand(1, 0, 0)];
-        assert_eq!(sched.place(&cands, &vm(1, 1)), None);
     }
 }

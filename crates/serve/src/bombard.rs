@@ -29,7 +29,7 @@ use slackvm_workload::{scenarios, WorkloadEvent};
 use crate::error::ServeError;
 use crate::request::{Op, Outcome, Reply};
 use crate::service::PlacementService;
-use crate::wire::WireReply;
+use crate::wire;
 
 /// Load-generation parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,23 +197,21 @@ struct StageSamples {
     commit: Vec<f64>,
 }
 
-impl StageSamples {
-    fn note_reply(&mut self, reply: &Reply) {
-        self.queue.push(reply.queue_us as f64);
-        self.place.push(reply.place_us as f64);
-        self.commit.push(reply.commit_us as f64);
-    }
+/// Server-reported queue / place / commit times of one reply, each
+/// `None` where the reply carried none.
+type StageSample = [Option<u64>; 3];
 
-    fn note_wire(&mut self, reply: &WireReply) {
-        if let Some(us) = reply.queue_us {
-            self.queue.push(us as f64);
-        }
-        if let Some(us) = reply.place_us {
-            self.place.push(us as f64);
-        }
-        if let Some(us) = reply.commit_us {
-            self.commit.push(us as f64);
-        }
+/// The stage sample of an in-process reply: all three fields when the
+/// service stages its requests, nothing under `TraceLevel::Off`.
+fn stage_sample(reply: &Reply, staged: bool) -> StageSample {
+    [reply.queue_us, reply.place_us, reply.commit_us].map(|us| staged.then_some(us))
+}
+
+impl StageSamples {
+    fn note(&mut self, [queue, place, commit]: StageSample) {
+        self.queue.extend(queue.map(|us| us as f64));
+        self.place.extend(place.map(|us| us as f64));
+        self.commit.extend(commit.map(|us| us as f64));
     }
 
     fn absorb(&mut self, other: StageSamples) {
@@ -407,52 +405,51 @@ impl Chaos {
     }
 }
 
-/// Renders a chaos control op as a wire-protocol request line.
-fn chaos_wire_line(op: &Op) -> String {
-    match op {
-        Op::FailPm { shard, pm } => {
-            format!("{{\"op\":\"fail-pm\",\"shard\":{shard},\"pm\":{}}}", pm.0)
-        }
-        Op::RecoverPm { shard, pm } => {
-            format!("{{\"op\":\"recover-pm\",\"shard\":{shard},\"pm\":{}}}", pm.0)
-        }
-        _ => unreachable!("chaos issues only pm control ops"),
-    }
-}
-
-/// Closed-loop, in-process: see the module docs.
-pub fn run_closed_loop(
-    service: &PlacementService,
+/// The closed loop both surfaces share (see the module docs): `connect`
+/// opens one client's channel to the service — a round trip taking one
+/// [`Op`] to its [`Outcome`] and the stage sample its reply carried —
+/// and each of `config.clients` threads drives its own.
+fn drive_closed_loop<T>(
+    mode: &str,
     config: &BombardConfig,
-) -> Result<BombardReport, ServeError> {
+    chaos_shards: u32,
+    connect: impl Fn() -> Result<T, ServeError> + Sync,
+) -> Result<BombardReport, ServeError>
+where
+    T: FnMut(Op) -> Result<(Outcome, StageSample), ServeError>,
+{
     config.validate()?;
     let specs = config.specs()?;
     let clients = config.clients.max(1);
     let window = (config.population / clients).max(1) as usize;
     let per_client = config.requests / clients as u64;
-    let shards = service.config().shards;
     let tally = Tally::default();
-    let ops = AtomicU64::new(0);
-    let staged = service.config().trace.stages();
     let started = Instant::now();
+    let mut ops = 0u64;
     let mut all_latencies: Vec<f64> = Vec::new();
     let mut all_stages = StageSamples::default();
 
     std::thread::scope(|scope| -> Result<(), ServeError> {
         let mut handles = Vec::new();
         for client in 0..clients {
-            let specs = &specs;
-            let tally = &tally;
-            let ops = &ops;
-            handles.push(
-                scope.spawn(move || -> Result<(Vec<f64>, StageSamples), ServeError> {
+            let (specs, tally, connect) = (&specs, &tally, &connect);
+            handles.push(scope.spawn(
+                move || -> Result<(u64, Vec<f64>, StageSamples), ServeError> {
+                    let mut round_trip = connect()?;
+                    let mut ops = 0u64;
+                    let mut issue = |op: Op| -> Result<(Outcome, StageSample), ServeError> {
+                        let answer = round_trip(op)?;
+                        ops += 1;
+                        tally.note(answer.0);
+                        Ok(answer)
+                    };
                     let mut alive: VecDeque<VmId> = VecDeque::with_capacity(window + 1);
                     let mut pinned: Vec<VmId> = Vec::new();
                     let mut latencies = Vec::with_capacity(per_client as usize);
                     let mut stages = StageSamples::default();
                     // Client 0 doubles as the chaos injector.
                     let mut chaos = (client == 0)
-                        .then(|| Chaos::new(config, shards))
+                        .then(|| Chaos::new(config, chaos_shards))
                         .flatten();
                     // Clients start at staggered offsets of the trace so the
                     // fleet sees the scenario's mix, not one slice of it.
@@ -461,14 +458,10 @@ pub fn run_closed_loop(
                         let spec = specs[(offset + n as usize) % specs.len()];
                         let id = client_vm_id(client, n);
                         let t0 = Instant::now();
-                        let reply = service.call(Op::Place { id, spec })?;
+                        let (outcome, sample) = issue(Op::Place { id, spec })?;
                         latencies.push(t0.elapsed().as_micros() as f64);
-                        if staged {
-                            stages.note_reply(&reply);
-                        }
-                        ops.fetch_add(1, Ordering::Relaxed);
-                        tally.note(reply.outcome);
-                        if matches!(reply.outcome, Outcome::Placed(_)) {
+                        stages.note(sample);
+                        if matches!(outcome, Outcome::Placed(_)) {
                             // Hot VMs sit out the sliding window: they stay
                             // placed for the whole run, accumulating into the
                             // hotspots the server's pressure plane hunts.
@@ -480,36 +473,28 @@ pub fn run_closed_loop(
                         }
                         if alive.len() > window {
                             let oldest = alive.pop_front().expect("window > 0");
-                            let reply = service.call(Op::Remove { id: oldest })?;
-                            ops.fetch_add(1, Ordering::Relaxed);
-                            tally.note(reply.outcome);
+                            issue(Op::Remove { id: oldest })?;
                         }
-                        if let Some(chaos) = chaos.as_mut() {
-                            if let Some(op) = chaos.tick(n) {
-                                let reply = service.call(op)?;
-                                ops.fetch_add(1, Ordering::Relaxed);
-                                tally.note(reply.outcome);
-                            }
+                        if let Some(op) = chaos.as_mut().and_then(|chaos| chaos.tick(n)) {
+                            issue(op)?;
                         }
                     }
                     // Recover every PM chaos still has down, then drain the
                     // window, so the run ends on a healthy, empty fleet.
                     for op in chaos.as_mut().map(Chaos::drain).unwrap_or_default() {
-                        let reply = service.call(op)?;
-                        ops.fetch_add(1, Ordering::Relaxed);
-                        tally.note(reply.outcome);
+                        issue(op)?;
                     }
                     for id in alive.into_iter().chain(pinned) {
-                        let reply = service.call(Op::Remove { id })?;
-                        ops.fetch_add(1, Ordering::Relaxed);
-                        tally.note(reply.outcome);
+                        issue(Op::Remove { id })?;
                     }
-                    Ok((latencies, stages))
-                }),
-            );
+                    Ok((ops, latencies, stages))
+                },
+            ));
         }
         for handle in handles {
-            let (latencies, stages) = handle.join().expect("bombard client panicked")?;
+            let (client_ops, latencies, stages) =
+                handle.join().expect("bombard client panicked")?;
+            ops += client_ops;
             all_latencies.extend(latencies);
             all_stages.absorb(stages);
         }
@@ -517,13 +502,27 @@ pub fn run_closed_loop(
     })?;
 
     Ok(report(
-        "closed-loop",
-        ops.load(Ordering::Relaxed),
+        mode,
+        ops,
         started.elapsed(),
         &tally,
         &all_latencies,
         &all_stages,
     ))
+}
+
+/// Closed-loop, in-process: see the module docs.
+pub fn run_closed_loop(
+    service: &PlacementService,
+    config: &BombardConfig,
+) -> Result<BombardReport, ServeError> {
+    let staged = service.config().trace.stages();
+    drive_closed_loop("closed-loop", config, service.config().shards, || {
+        Ok(move |op| {
+            let reply = service.call(op)?;
+            Ok((reply.outcome, stage_sample(&reply, staged)))
+        })
+    })
 }
 
 /// Open-loop, in-process: paced submission at `rate` placements per
@@ -571,9 +570,7 @@ pub fn run_open_loop(
         let reply = reply_rx.recv().map_err(|_| ServeError::Disconnected)?;
         tally.note(reply.outcome);
         latencies.push(reply.latency_us as f64);
-        if staged {
-            stages.note_reply(&reply);
-        }
+        stages.note(stage_sample(&reply, staged));
     }
     Ok(report(
         "open-loop",
@@ -591,123 +588,27 @@ pub fn run_tcp(addr: &str, config: &BombardConfig) -> Result<BombardReport, Serv
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
-    config.validate()?;
-    let specs = config.specs()?;
-    let clients = config.clients.max(1);
-    let window = (config.population / clients).max(1) as usize;
-    let per_client = config.requests / clients as u64;
-    let tally = Tally::default();
-    let ops = AtomicU64::new(0);
-    let started = Instant::now();
-    let mut all_latencies: Vec<f64> = Vec::new();
-    let mut all_stages = StageSamples::default();
-
-    std::thread::scope(|scope| -> Result<(), ServeError> {
-        let mut handles = Vec::new();
-        for client in 0..clients {
-            let specs = &specs;
-            let tally = &tally;
-            let ops = &ops;
-            let addr = addr.to_string();
-            handles.push(
-                scope.spawn(move || -> Result<(Vec<f64>, StageSamples), ServeError> {
-                    let stream = TcpStream::connect(&addr)?;
-                    // One-line requests: never wait out Nagle + delayed ACK.
-                    stream.set_nodelay(true)?;
-                    let mut writer = stream.try_clone()?;
-                    let mut reader = BufReader::new(stream);
-                    let mut line = String::new();
-                    let ask = |writer: &mut TcpStream,
-                               reader: &mut BufReader<TcpStream>,
-                               line: &mut String,
-                               req: String|
-                     -> Result<crate::wire::WireReply, ServeError> {
-                        writeln!(writer, "{req}")?;
-                        writer.flush()?;
-                        line.clear();
-                        reader.read_line(line)?;
-                        crate::wire::parse_reply(line)
-                    };
-                    let mut alive: VecDeque<VmId> = VecDeque::with_capacity(window + 1);
-                    let mut pinned: Vec<VmId> = Vec::new();
-                    let mut latencies = Vec::with_capacity(per_client as usize);
-                    let mut stages = StageSamples::default();
-                    // Client 0 doubles as the chaos injector; the shard count
-                    // is not visible over the wire, so chaos targets shard 0.
-                    let mut chaos = (client == 0).then(|| Chaos::new(config, 1)).flatten();
-                    let offset = (client as usize * specs.len()) / clients as usize;
-                    for n in 0..per_client {
-                        let spec = specs[(offset + n as usize) % specs.len()];
-                        let id = client_vm_id(client, n);
-                        let req = format!(
-                            "{{\"op\":\"place\",\"id\":{},\"vcpus\":{},\"mem_mib\":{},\"level\":{}}}",
-                            id.0,
-                            spec.vcpus(),
-                            spec.mem_mib(),
-                            spec.level.ratio()
-                        );
-                        let t0 = Instant::now();
-                        let reply = ask(&mut writer, &mut reader, &mut line, req)?;
-                        latencies.push(t0.elapsed().as_micros() as f64);
-                        stages.note_wire(&reply);
-                        ops.fetch_add(1, Ordering::Relaxed);
-                        let outcome = crate::tcp::classify(&reply);
-                        tally.note(outcome);
-                        if matches!(outcome, Outcome::Placed(_)) {
-                            if slackvm_pressure::is_hot(config.usage_seed, id, config.hot_frac) {
-                                pinned.push(id);
-                            } else {
-                                alive.push_back(id);
-                            }
-                        }
-                        if alive.len() > window {
-                            let oldest = alive.pop_front().expect("window > 0");
-                            let req = format!("{{\"op\":\"remove\",\"id\":{}}}", oldest.0);
-                            let reply = ask(&mut writer, &mut reader, &mut line, req)?;
-                            ops.fetch_add(1, Ordering::Relaxed);
-                            tally.note(crate::tcp::classify(&reply));
-                        }
-                        if let Some(chaos) = chaos.as_mut() {
-                            if let Some(op) = chaos.tick(n) {
-                                let req = chaos_wire_line(&op);
-                                let reply = ask(&mut writer, &mut reader, &mut line, req)?;
-                                ops.fetch_add(1, Ordering::Relaxed);
-                                tally.note(crate::tcp::classify(&reply));
-                            }
-                        }
-                    }
-                    for op in chaos.as_mut().map(Chaos::drain).unwrap_or_default() {
-                        let req = chaos_wire_line(&op);
-                        let reply = ask(&mut writer, &mut reader, &mut line, req)?;
-                        ops.fetch_add(1, Ordering::Relaxed);
-                        tally.note(crate::tcp::classify(&reply));
-                    }
-                    for id in alive.into_iter().chain(pinned) {
-                        let req = format!("{{\"op\":\"remove\",\"id\":{}}}", id.0);
-                        let reply = ask(&mut writer, &mut reader, &mut line, req)?;
-                        ops.fetch_add(1, Ordering::Relaxed);
-                        tally.note(crate::tcp::classify(&reply));
-                    }
-                    Ok((latencies, stages))
-                }),
-            );
-        }
-        for handle in handles {
-            let (latencies, stages) = handle.join().expect("bombard tcp client panicked")?;
-            all_latencies.extend(latencies);
-            all_stages.absorb(stages);
-        }
-        Ok(())
-    })?;
-
-    Ok(report(
-        "closed-loop/tcp",
-        ops.load(Ordering::Relaxed),
-        started.elapsed(),
-        &tally,
-        &all_latencies,
-        &all_stages,
-    ))
+    // The shard count is not visible over the wire, so chaos targets
+    // shard 0.
+    drive_closed_loop("closed-loop/tcp", config, 1, || {
+        let stream = TcpStream::connect(addr)?;
+        // One-line requests: never wait out Nagle + delayed ACK.
+        stream.set_nodelay(true)?;
+        let mut writer = stream.try_clone()?;
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        Ok(move |op: Op| {
+            writeln!(writer, "{}", wire::render_request(&op))?;
+            writer.flush()?;
+            line.clear();
+            reader.read_line(&mut line)?;
+            let reply = wire::parse_reply(&line)?;
+            Ok((
+                crate::tcp::classify(&reply),
+                [reply.queue_us, reply.place_us, reply.commit_us],
+            ))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -839,6 +740,48 @@ mod tests {
             ..BombardConfig::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    /// One client, chaos and hot pinning on: the in-process and the TCP
+    /// surface drive the same loop, so against fresh one-shard services
+    /// they issue the same ops and count the same outcomes.
+    #[test]
+    fn in_process_and_tcp_runs_tally_identically() {
+        use std::io::Write;
+        let config = BombardConfig {
+            clients: 1,
+            requests: 300,
+            chaos_fail_every: Some(20),
+            hot_frac: 0.25,
+            ..small()
+        };
+        let svc = service(1);
+        let local = run_closed_loop(&svc, &config).unwrap();
+        svc.stop().check_invariants().unwrap();
+
+        let server = crate::tcp::TcpServer::bind("127.0.0.1:0", service(1)).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+        let remote = run_tcp(&addr.to_string(), &config).unwrap();
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+        let (_, final_report) = handle.join().unwrap();
+        final_report.check_invariants().unwrap();
+
+        assert_eq!(local.mode, "closed-loop");
+        assert_eq!(remote.mode, "closed-loop/tcp");
+        let tallies = |r: &BombardReport| {
+            let outcomes = [r.placed, r.removed, r.rejected, r.shed, r.unknown];
+            (r.ops, outcomes, [r.chaos_ops, r.evicted, r.lost])
+        };
+        assert_eq!(tallies(&local), tallies(&remote), "{local:?}\n{remote:?}");
+        assert_eq!(local.placed, 300, "{local:?}");
+        assert!(local.chaos_ops > 0 && local.evicted > 0, "{local:?}");
+        assert_eq!(local.ops, local.placed + local.removed + local.chaos_ops);
+        for report in [&local, &remote] {
+            assert_eq!(report.latency.as_ref().unwrap().count, 300);
+        }
+        assert_eq!(local.stages.queue.as_ref().unwrap().count, 300);
     }
 
     #[test]

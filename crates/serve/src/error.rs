@@ -29,9 +29,10 @@ pub enum ServeError {
 
     /// The durability layer failed while opening or recovering shard
     /// state at startup. (Failures *after* startup — a WAL append or
-    /// fsync going bad mid-flight — panic the owning shard worker
-    /// instead: the service must never acknowledge a decision it could
-    /// not persist.)
+    /// fsync going bad mid-flight — never surface here: the owning
+    /// shard goes journal-degraded, keeps serving from memory and is
+    /// named on `/healthz`; only `ServeConfig::durable_fail_stop`
+    /// makes its worker panic instead.)
     #[error("durability: {0}")]
     Durable(#[from] slackvm_durable::DurableError),
 }

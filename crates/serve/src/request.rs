@@ -1,14 +1,12 @@
 //! Request and configuration types of the placement service.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use slackvm_durable::{DurableOptions, Manifest, ManifestModel};
-use slackvm_model::{OversubLevel, PmConfig, PmId, VmId, VmSpec};
-use slackvm_sched::{IndexMode, PlacementPolicy, POLICY_NAMES};
-use slackvm_sim::{DedicatedDeployment, DeploymentModel, SharedDeployment};
+use slackvm_durable::{DurableOptions, Manifest};
+use slackvm_model::{PmId, VmId, VmSpec};
+use slackvm_sched::IndexMode;
+pub use slackvm_sim::ModelSpec;
 use slackvm_telemetry::SloTargets;
-use slackvm_topology::topology_from_spec;
 
 use crate::error::ServeError;
 
@@ -181,136 +179,6 @@ impl TraceLevel {
         match self {
             TraceLevel::Sampled { every } => Some(*every),
             _ => None,
-        }
-    }
-}
-
-/// Which deployment model each shard owns.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ModelSpec {
-    /// A SlackVM shared pool per shard.
-    Shared {
-        /// Worker topology spec (e.g. `"cores=32"`, see
-        /// [`slackvm_topology::topology_from_spec`]).
-        topology: String,
-        /// Worker memory.
-        mem_mib: u64,
-        /// Placement policy name (see [`POLICY_NAMES`]).
-        policy: String,
-        /// Total fleet cap, split evenly across shards (`None` for an
-        /// elastic fleet that opens PMs on demand).
-        fleet_cap: Option<u32>,
-    },
-    /// The dedicated per-level baseline per shard.
-    Dedicated {
-        /// Worker topology spec.
-        topology: String,
-        /// Worker memory.
-        mem_mib: u64,
-    },
-}
-
-impl ModelSpec {
-    /// The default shared pool: 32-core workers, 128 GiB, the paper's
-    /// progress+bestfit policy, elastic fleet.
-    pub fn default_shared() -> Self {
-        ModelSpec::Shared {
-            topology: "cores=32".into(),
-            mem_mib: slackvm_model::gib(128),
-            policy: "progress+bestfit".into(),
-            fleet_cap: None,
-        }
-    }
-
-    /// Builds the per-shard deployment model. `shards` is the total
-    /// shard count (a capped fleet is split `ceil(cap / shards)` each,
-    /// so the aggregate never falls below the configured cap).
-    pub fn build(&self, shards: u32) -> Result<DeploymentModel, ServeError> {
-        match self {
-            ModelSpec::Shared {
-                topology,
-                mem_mib,
-                policy,
-                fleet_cap,
-            } => {
-                let topo = Arc::new(
-                    topology_from_spec(topology).map_err(|e| ServeError::Config(e.to_string()))?,
-                );
-                let policy = PlacementPolicy::by_name(policy).ok_or_else(|| {
-                    ServeError::Config(format!(
-                        "unknown policy {policy:?} ({})",
-                        POLICY_NAMES.join(", ")
-                    ))
-                })?;
-                let pool = match fleet_cap {
-                    Some(cap) => {
-                        let per_shard = cap.div_ceil(shards.max(1));
-                        let mut pool =
-                            SharedDeployment::with_capped_cluster(topo, *mem_mib, per_shard);
-                        pool.policy = policy;
-                        pool
-                    }
-                    None => SharedDeployment::with_policy(topo, *mem_mib, policy),
-                };
-                Ok(DeploymentModel::Shared(pool))
-            }
-            ModelSpec::Dedicated { topology, mem_mib } => {
-                let topo =
-                    topology_from_spec(topology).map_err(|e| ServeError::Config(e.to_string()))?;
-                Ok(DeploymentModel::Dedicated(DedicatedDeployment::new(
-                    PmConfig::of(topo.num_cores(), *mem_mib),
-                    [
-                        OversubLevel::of(1),
-                        OversubLevel::of(2),
-                        OversubLevel::of(3),
-                    ],
-                )))
-            }
-        }
-    }
-
-    /// The durability-layer mirror of this spec, as written to a state
-    /// directory's `MANIFEST`.
-    pub fn to_manifest_model(&self) -> ManifestModel {
-        match self {
-            ModelSpec::Shared {
-                topology,
-                mem_mib,
-                policy,
-                fleet_cap,
-            } => ManifestModel::Shared {
-                topology: topology.clone(),
-                mem_mib: *mem_mib,
-                policy: policy.clone(),
-                fleet_cap: *fleet_cap,
-            },
-            ModelSpec::Dedicated { topology, mem_mib } => ManifestModel::Dedicated {
-                topology: topology.clone(),
-                mem_mib: *mem_mib,
-            },
-        }
-    }
-
-    /// Rebuilds the spec a `MANIFEST` records — how `slackvm recover`
-    /// and `slackvm fsck` reconstruct deployment models with no service
-    /// configuration on the command line.
-    pub fn from_manifest_model(model: &ManifestModel) -> ModelSpec {
-        match model {
-            ManifestModel::Shared {
-                topology,
-                mem_mib,
-                policy,
-                fleet_cap,
-            } => ModelSpec::Shared {
-                topology: topology.clone(),
-                mem_mib: *mem_mib,
-                policy: policy.clone(),
-                fleet_cap: *fleet_cap,
-            },
-            ManifestModel::Dedicated { topology, mem_mib } => ModelSpec::Dedicated {
-                topology: topology.clone(),
-                mem_mib: *mem_mib,
-            },
         }
     }
 }
@@ -541,7 +409,7 @@ impl ServeConfig {
         Manifest {
             shards: self.shards,
             index: self.index.name().to_string(),
-            model: self.model.to_manifest_model(),
+            model: self.model.clone(),
         }
     }
 }
@@ -583,7 +451,7 @@ mod tests {
             fleet_cap: None,
         };
         let err = match bad_policy.build(1) {
-            Err(e) => e.to_string(),
+            Err(e) => e,
             Ok(_) => panic!("bad policy accepted"),
         };
         assert!(
@@ -598,9 +466,10 @@ mod tests {
     }
 
     #[test]
-    fn manifest_mirrors_the_config_both_ways() {
+    fn manifest_carries_shards_index_and_the_spec_itself() {
         let config = ServeConfig {
             shards: 3,
+            index: IndexMode::Naive,
             model: ModelSpec::Shared {
                 topology: "cores=16".into(),
                 mem_mib: slackvm_model::gib(64),
@@ -611,18 +480,8 @@ mod tests {
         };
         let manifest = config.manifest();
         assert_eq!(manifest.shards, 3);
-        assert_eq!(
-            ModelSpec::from_manifest_model(&manifest.model),
-            config.model
-        );
-        let dedicated = ModelSpec::Dedicated {
-            topology: "cores=8".into(),
-            mem_mib: slackvm_model::gib(32),
-        };
-        assert_eq!(
-            ModelSpec::from_manifest_model(&dedicated.to_manifest_model()),
-            dedicated
-        );
+        assert_eq!(manifest.index, "naive");
+        assert_eq!(manifest.model, config.model);
     }
 
     #[test]

@@ -138,7 +138,10 @@ impl PlacementService {
         let shards = config.shards as usize;
         let mut models = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let mut model = config.model.build(config.shards)?;
+            let mut model = config
+                .model
+                .build(config.shards)
+                .map_err(ServeError::Config)?;
             model.set_index_mode(config.index);
             models.push(model);
         }

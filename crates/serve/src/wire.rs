@@ -25,7 +25,9 @@
 //! Replies mirror the op and id, e.g.
 //! `{"ok":true,"op":"place","id":7,"pm":3,"shard":0,"latency_us":12}`;
 //! failures carry `"ok":false` and an `"error"` word (`"rejected"`,
-//! `"shed"`, `"unknown-vm"`, `"busy"`, `"bad-request"`).
+//! `"shed"`, `"unknown-vm"`, `"busy"`); a line that does not parse is
+//! answered `"op":"parse"` with the parser's message as the error
+//! (`"bad request line: ..."`), and the connection stays open.
 
 use slackvm_model::{OversubLevel, PmId, VmId, VmSpec};
 
@@ -69,6 +71,22 @@ fn require(line: &str, key: &str) -> Result<u64, ServeError> {
         .ok_or_else(|| ServeError::BadRequest(format!("missing numeric field {key:?} in {line:?}")))
 }
 
+/// The `vcpus` / `mem_mib` pair of a place or resize line: both
+/// positive, `vcpus` within the `u32` the model carries (checked, not
+/// wrapped — 2^32 must not become 0, nor 2^32 + 1 a one-vCPU VM).
+fn require_shape(line: &str) -> Result<(u32, u64), ServeError> {
+    let vcpus = require(line, "vcpus")?;
+    let mem_mib = require(line, "mem_mib")?;
+    if vcpus == 0 || mem_mib == 0 {
+        return Err(ServeError::BadRequest(
+            "vcpus and mem_mib must be positive".into(),
+        ));
+    }
+    let vcpus = u32::try_from(vcpus)
+        .map_err(|_| ServeError::BadRequest(format!("vcpus {vcpus} must fit in 32 bits")))?;
+    Ok((vcpus, mem_mib))
+}
+
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<WireRequest, ServeError> {
     let line = line.trim();
@@ -77,14 +95,8 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ServeError> {
     match op {
         "place" => {
             let id = require(line, "id")?;
-            let vcpus = require(line, "vcpus")?;
-            let mem_mib = require(line, "mem_mib")?;
+            let (vcpus, mem_mib) = require_shape(line)?;
             let level = field_u64(line, "level").unwrap_or(1);
-            if vcpus == 0 || mem_mib == 0 {
-                return Err(ServeError::BadRequest(
-                    "vcpus and mem_mib must be positive".into(),
-                ));
-            }
             if !(1..=64).contains(&level) {
                 return Err(ServeError::BadRequest(format!(
                     "level {level} outside 1..=64"
@@ -92,7 +104,7 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ServeError> {
             }
             Ok(WireRequest::Op(Op::Place {
                 id: VmId(id),
-                spec: VmSpec::of(vcpus as u32, mem_mib, OversubLevel::of(level as u32)),
+                spec: VmSpec::of(vcpus, mem_mib, OversubLevel::of(level as u32)),
             }))
         }
         "remove" => Ok(WireRequest::Op(Op::Remove {
@@ -100,16 +112,10 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ServeError> {
         })),
         "resize" => {
             let id = require(line, "id")?;
-            let vcpus = require(line, "vcpus")?;
-            let mem_mib = require(line, "mem_mib")?;
-            if vcpus == 0 || mem_mib == 0 {
-                return Err(ServeError::BadRequest(
-                    "vcpus and mem_mib must be positive".into(),
-                ));
-            }
+            let (vcpus, mem_mib) = require_shape(line)?;
             Ok(WireRequest::Op(Op::Resize {
                 id: VmId(id),
-                vcpus: vcpus as u32,
+                vcpus,
                 mem_mib,
             }))
         }
@@ -146,6 +152,29 @@ fn op_name(op: &Op) -> &'static str {
         Op::FailPm { .. } => "fail-pm",
         Op::RecoverPm { .. } => "recover-pm",
         Op::DrainPm { .. } => "drain-pm",
+    }
+}
+
+/// Renders the request line for an operation (client side) — the
+/// inverse of [`parse_request`].
+pub fn render_request(op: &Op) -> String {
+    let name = op_name(op);
+    match op {
+        Op::Place { id, spec } => format!(
+            "{{\"op\":\"{name}\",\"id\":{},\"vcpus\":{},\"mem_mib\":{},\"level\":{}}}",
+            id.0,
+            spec.vcpus(),
+            spec.mem_mib(),
+            spec.level.ratio()
+        ),
+        Op::Remove { id } => format!("{{\"op\":\"{name}\",\"id\":{}}}", id.0),
+        Op::Resize { id, vcpus, mem_mib } => format!(
+            "{{\"op\":\"{name}\",\"id\":{},\"vcpus\":{vcpus},\"mem_mib\":{mem_mib}}}",
+            id.0
+        ),
+        Op::FailPm { shard, pm } | Op::RecoverPm { shard, pm } | Op::DrainPm { shard, pm } => {
+            format!("{{\"op\":\"{name}\",\"shard\":{shard},\"pm\":{}}}", pm.0)
+        }
     }
 }
 
@@ -410,6 +439,60 @@ mod tests {
             (parsed.evicted, parsed.replaced, parsed.lost),
             (Some(4), Some(3), Some(1))
         );
+    }
+
+    #[test]
+    fn rendered_requests_parse_back_to_the_op() {
+        let pm = PmId(3);
+        for op in [
+            Op::Place {
+                id: VmId(7),
+                spec: VmSpec::of(4, 8192, OversubLevel::of(3)),
+            },
+            Op::Remove { id: VmId(7) },
+            Op::Resize {
+                id: VmId(7),
+                vcpus: 8,
+                mem_mib: 16384,
+            },
+            Op::FailPm { shard: 2, pm },
+            Op::RecoverPm { shard: 0, pm },
+            Op::DrainPm { shard: 1, pm },
+        ] {
+            let line = render_request(&op);
+            assert_eq!(parse_request(&line).unwrap(), WireRequest::Op(op), "{line}");
+        }
+    }
+
+    fn assert_32_bit_refusal(line: &str) {
+        match parse_request(line) {
+            Err(ServeError::BadRequest(msg)) => assert!(msg.contains("32 bits"), "{msg}"),
+            other => panic!("{line} -> {other:?}"),
+        }
+    }
+
+    /// Regression: `vcpus` used to be zero-checked as a `u64` and then
+    /// narrowed with `as u32`, so 2^32 wrapped to 0 and panicked the
+    /// connection thread inside `VmSpec::of`.
+    #[test]
+    fn place_with_vcpus_beyond_32_bits_is_a_bad_request_not_a_panic() {
+        assert_32_bit_refusal("{\"op\":\"place\",\"id\":1,\"vcpus\":4294967296,\"mem_mib\":1024}");
+        // The largest representable count still parses, unwrapped.
+        match parse_request("{\"op\":\"place\",\"id\":1,\"vcpus\":4294967295,\"mem_mib\":1024}") {
+            Ok(WireRequest::Op(Op::Place { spec, .. })) => assert_eq!(spec.vcpus(), u32::MAX),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Regression, same narrowing: 2^32 + 1 parsed to a *one*-vCPU
+    /// resize that was then accepted and journalled.
+    #[test]
+    fn resize_with_vcpus_beyond_32_bits_is_a_bad_request_not_a_shrink() {
+        assert_32_bit_refusal("{\"op\":\"resize\",\"id\":7,\"vcpus\":4294967297,\"mem_mib\":1}");
+        match parse_request("{\"op\":\"resize\",\"id\":7,\"vcpus\":4294967295,\"mem_mib\":1}") {
+            Ok(WireRequest::Op(Op::Resize { vcpus, .. })) => assert_eq!(vcpus, u32::MAX),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

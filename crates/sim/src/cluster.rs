@@ -43,9 +43,9 @@ pub struct Cluster<H: Host> {
     failed: std::collections::BTreeSet<PmId>,
     index_mode: IndexMode,
     index: CandidateIndex,
-    /// Whether `index` reflects the current host states. Cleared by
-    /// [`Cluster::hosts_mut`] (hosts may be mutated behind the index's
-    /// back) and by mode switches; the next indexed deploy rebuilds.
+    /// Whether `index` reflects the current host states. False until
+    /// the first indexed deploy and after a mode switch; the next
+    /// indexed deploy rebuilds.
     index_synced: bool,
     /// Reusable candidate buffer for indexed deployments, so the steady
     /// state allocates nothing per event.
@@ -98,19 +98,11 @@ impl<H: Host> Cluster<H> {
         &self.hosts
     }
 
-    /// Mutable access to hosts (used by deployment models to refresh
-    /// vCluster summaries). Invalidates the placement index — mutations
-    /// through this borrow bypass dirty-tracking, so the next indexed
-    /// deploy rebuilds from scratch. Prefer the cluster's own mutators
-    /// (deploy/remove/[`Cluster::resize_vm`]/migrate) on hot paths.
-    pub fn hosts_mut(&mut self) -> &mut [H] {
-        self.index_synced = false;
-        &mut self.hosts
-    }
-
     /// The host with id `pm`, if opened. Hosts are dense by [`PmId`]
     /// (the factory numbers them in opening order), so this is an
-    /// index, not a scan.
+    /// index, not a scan. Hosts are mutated only through the cluster's
+    /// own mutators (deploy/remove/[`Cluster::resize_vm`]/migrate),
+    /// which keep the placement index in step.
     pub fn host(&self, pm: PmId) -> Option<&H> {
         let host = self.hosts.get(pm.0 as usize);
         debug_assert!(host.is_none_or(|h| h.id() == pm), "hosts are dense by PmId");
@@ -155,7 +147,7 @@ impl<H: Host> Cluster<H> {
     }
 
     /// Assembles the feasible candidate set and runs the policy via the
-    /// incremental index: admission buckets skip provably-infeasible
+    /// incremental index: the admission gate skips provably-infeasible
     /// PMs, the authoritative `can_host` check runs only on admitted
     /// ones, and First-Fit short-circuits scoring entirely (the lowest
     /// feasible id needs no scores).
@@ -581,8 +573,7 @@ mod tests {
 
     /// The incremental index and the naive rebuild must agree on every
     /// placement across the full mutation surface: deploys (reuse and
-    /// open), removals, resizes, failure/repair, and external mutation
-    /// through `hosts_mut` (which forces a rebuild).
+    /// open), removals, resizes, and failure/repair.
     #[test]
     fn incremental_index_matches_naive_across_mutations() {
         let policy = PlacementPolicy::FirstFit;
@@ -602,9 +593,6 @@ mod tests {
             picks.push(c.deploy(VmId(12), spec(4, 4), &policy).unwrap());
             c.repair_host(PmId(0));
             picks.push(c.deploy(VmId(13), spec(4, 4), &policy).unwrap());
-            // Mutation behind the index's back: stale until next deploy.
-            c.hosts_mut()[1].resize_vm(VmId(3), 1, gib(1)).unwrap();
-            picks.push(c.deploy(VmId(14), spec(10, 29), &policy).unwrap());
             picks
         };
         assert_eq!(drive(&mut naive), drive(&mut incr));

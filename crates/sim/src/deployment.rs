@@ -6,8 +6,12 @@ use std::sync::Arc;
 use slackvm_hypervisor::{Host, PhysicalMachine, PinChurn, UniformMachine};
 use slackvm_model::{AllocView, OversubLevel, PmConfig, PmId, VmId, VmSpec};
 use slackvm_sched::vcluster::VClusterMember;
-use slackvm_sched::{CompositeScorer, IndexMode, PlacementPolicy, ProgressScorer, VCluster};
-use slackvm_topology::{CpuTopology, DistanceMatrix, SelectionPolicy, TopologySelection};
+use slackvm_sched::{
+    CompositeScorer, IndexMode, PlacementPolicy, ProgressScorer, VCluster, POLICY_NAMES,
+};
+use slackvm_topology::{
+    topology_from_spec, CpuTopology, DistanceMatrix, SelectionPolicy, TopologySelection,
+};
 
 use crate::cluster::Cluster;
 use crate::error::SimError;
@@ -323,6 +327,97 @@ impl DeploymentModel {
     }
 }
 
+/// A [`DeploymentModel`] described by value: what the CLI flags select,
+/// what each shard of the placement service builds, and what a state
+/// directory's `MANIFEST` records.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ModelSpec {
+    /// A SlackVM shared pool per shard.
+    Shared {
+        /// Worker topology spec (e.g. `"cores=32"`, see
+        /// [`slackvm_topology::topology_from_spec`]).
+        topology: String,
+        /// Worker memory.
+        mem_mib: u64,
+        /// Placement policy name (see [`POLICY_NAMES`]).
+        policy: String,
+        /// Total fleet cap, split evenly across shards (`None` for an
+        /// elastic fleet that opens PMs on demand).
+        fleet_cap: Option<u32>,
+    },
+    /// The dedicated per-level baseline per shard.
+    Dedicated {
+        /// Worker topology spec.
+        topology: String,
+        /// Worker memory.
+        mem_mib: u64,
+    },
+}
+
+impl ModelSpec {
+    /// The default shared pool: 32-core workers, 128 GiB, the paper's
+    /// progress+bestfit policy, elastic fleet.
+    pub fn default_shared() -> Self {
+        ModelSpec::Shared {
+            topology: "cores=32".into(),
+            mem_mib: slackvm_model::gib(128),
+            policy: "progress+bestfit".into(),
+            fleet_cap: None,
+        }
+    }
+
+    /// The model's name (`shared` / `dedicated`), as flags and the
+    /// manifest spell it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ModelSpec::Shared { .. } => "shared",
+            ModelSpec::Dedicated { .. } => "dedicated",
+        }
+    }
+
+    /// Builds one shard's deployment model. `shards` is the total
+    /// shard count (a capped fleet is split `ceil(cap / shards)` each,
+    /// so the aggregate never falls below the configured cap). The
+    /// error is the message naming the bad topology spec or policy.
+    pub fn build(&self, shards: u32) -> Result<DeploymentModel, String> {
+        match self {
+            ModelSpec::Shared {
+                topology,
+                mem_mib,
+                policy,
+                fleet_cap,
+            } => {
+                let topo = Arc::new(topology_from_spec(topology).map_err(|e| e.to_string())?);
+                let policy = PlacementPolicy::by_name(policy).ok_or_else(|| {
+                    format!("unknown policy {policy:?} ({})", POLICY_NAMES.join(", "))
+                })?;
+                let pool = match fleet_cap {
+                    Some(cap) => {
+                        let per_shard = cap.div_ceil(shards.max(1));
+                        let mut pool =
+                            SharedDeployment::with_capped_cluster(topo, *mem_mib, per_shard);
+                        pool.policy = policy;
+                        pool
+                    }
+                    None => SharedDeployment::with_policy(topo, *mem_mib, policy),
+                };
+                Ok(DeploymentModel::Shared(pool))
+            }
+            ModelSpec::Dedicated { topology, mem_mib } => {
+                let topo = topology_from_spec(topology).map_err(|e| e.to_string())?;
+                Ok(DeploymentModel::Dedicated(DedicatedDeployment::new(
+                    PmConfig::of(topo.num_cores(), *mem_mib),
+                    [
+                        OversubLevel::of(1),
+                        OversubLevel::of(2),
+                        OversubLevel::of(3),
+                    ],
+                )))
+            }
+        }
+    }
+}
+
 /// The baseline: per-level clusters of [`UniformMachine`]s, each placed
 /// by First-Fit.
 pub struct DedicatedDeployment {
@@ -447,8 +542,6 @@ impl DedicatedDeployment {
     pub fn resize(&mut self, id: VmId, vcpus: u32, mem_mib: u64) -> Result<(), SimError> {
         for cluster in self.clusters.values_mut() {
             if cluster.location_of(id).is_some() {
-                // Through the cluster, not hosts_mut(): keeps the
-                // placement index dirty-tracked instead of invalidated.
                 return cluster.resize_vm(id, vcpus, mem_mib).map(|_| ());
             }
         }
@@ -761,8 +854,6 @@ impl SharedDeployment {
             .host(pm)
             .and_then(|h| h.level_of(id))
             .expect("placement is consistent");
-        // Through the cluster, not hosts_mut(): keeps the placement
-        // index dirty-tracked instead of invalidated.
         self.cluster.resize_vm(id, vcpus, mem_mib)?;
         self.refresh_vcluster_recorded(pm, level, time_secs, recorder);
         Ok(())

@@ -39,7 +39,7 @@ pub mod state;
 pub mod steady;
 
 pub use cluster::{index_entry, Cluster};
-pub use deployment::{DedicatedDeployment, DeploymentModel, SharedDeployment};
+pub use deployment::{DedicatedDeployment, DeploymentModel, ModelSpec, SharedDeployment};
 pub use engine::{
     run_packing, run_packing_with, CompactionStats, FailureStats, RunOptions, RunReport,
 };

@@ -174,7 +174,7 @@ proptest! {
 /// Builds one shard's empty model from a recovered manifest, exactly
 /// as the service and `slackvm recover` do.
 fn model_from(manifest: &Manifest) -> DeploymentModel {
-    let spec = ModelSpec::from_manifest_model(&manifest.model);
+    let spec = manifest.model.clone();
     let mut model = spec.build(manifest.shards).expect("manifest model");
     model.set_index_mode(IndexMode::parse(&manifest.index).expect("manifest index"));
     model

@@ -362,7 +362,7 @@ fn kill_nine_mid_mitigation_recovers_and_passes_fsck() {
     // replay from genesis lands on the exact recovered state.
     let manifest = Manifest::load(&dir).expect("manifest survives");
     let build = || {
-        let spec = ModelSpec::from_manifest_model(&manifest.model);
+        let spec = manifest.model.clone();
         let mut model = spec.build(manifest.shards).expect("manifest model");
         model.set_index_mode(IndexMode::parse(&manifest.index).expect("manifest index"));
         model
