@@ -869,8 +869,24 @@ pub fn pressure(args: &Args) -> Result<String, CliError> {
             "--hot-frac must be within [0, 1]".into(),
         ));
     }
+    let (model, workload, cutoff, rejections) = fleet_at(args, None)?;
+    let mut out = fleet_header(&model, &workload, cutoff, rejections);
+    out.push_str(&pressure_action(
+        action, model, &budget, usage_seed, hot_frac,
+    )?);
+    Ok(out)
+}
+
+/// What `pressure <action>` prints below the fleet header, for a fleet
+/// already built.
+fn pressure_action(
+    action: &str,
+    mut model: DeploymentModel,
+    budget: &slackvm_rebalance::Budget,
+    usage_seed: u64,
+    hot_frac: f64,
+) -> Result<String, CliError> {
     let thresholds = slackvm_pressure::PressureConfig::default();
-    let (mut model, workload, cutoff, rejections) = fleet_at(args, None)?;
     // Feed the synthesized per-VM signal through the same estimator
     // pipeline the serve tick runs, so an offline `pressure apply`
     // plans exactly what the online tick would.
@@ -880,7 +896,7 @@ pub fn pressure(args: &Args) -> Result<String, CliError> {
         slackvm_pressure::synth_frac(usage_seed, vm, hot_frac)
     });
     let usage = |vm| tracker.demand(vm);
-    let mut out = fleet_header(&model, &workload, cutoff, rejections);
+    let mut out = String::new();
     if action == "status" {
         let report =
             slackvm_pressure::score_pressure(&model, &thresholds, &usage, &Default::default());
@@ -889,7 +905,7 @@ pub fn pressure(args: &Args) -> Result<String, CliError> {
         out.push('\n');
         return Ok(out);
     }
-    let plan = slackvm_pressure::plan_mitigation(&model, &thresholds, &budget, &usage)
+    let plan = slackvm_pressure::plan_mitigation(&model, &thresholds, budget, &usage)
         .map_err(|e| CliError::Invalid(e.to_string()))?;
     out.push_str(&plan.render());
     match action {
@@ -903,11 +919,14 @@ pub fn pressure(args: &Args) -> Result<String, CliError> {
             model.check_invariants().map_err(|e| {
                 CliError::Invalid(format!("post-apply invariant violation: {e}"))
             })?;
+            // Classify with the memory the plan's header was classified
+            // with (as the online tick does): a hot PM cooled only into
+            // the hysteresis band is still hot, here as there.
             let after = slackvm_pressure::score_pressure(
                 &model,
                 &thresholds,
                 &usage,
-                &Default::default(),
+                &plan.before.states(),
             );
             out.push_str(&report.render());
             let _ = writeln!(
@@ -2538,6 +2557,7 @@ mod tests {
         argv.extend(base);
         let out = run(&argv).unwrap();
         assert!(out.contains("after: 0 hot"), "{out}");
+        assert_eq!(header_hot_after(&out), after_line_hot(&out), "{out}");
 
         // Without --hot-frac every VM idles: nothing is hot, nothing moves.
         let out = run(&[
@@ -2546,6 +2566,57 @@ mod tests {
         .unwrap();
         assert!(out.contains("0 migration(s), hot PMs 0 -> 0"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `B` of the plan header's `hot PMs A -> B`.
+    fn header_hot_after(out: &str) -> u32 {
+        let rest = out.split("hot PMs ").nth(1).expect("a plan header");
+        let b = rest.split(" -> ").nth(1).expect("A -> B");
+        b.split(' ').next().unwrap().parse().expect("a count")
+    }
+
+    /// `N` of `pressure apply`'s closing `after: N hot, ...`.
+    fn after_line_hot(out: &str) -> u32 {
+        let rest = out.split("after: ").nth(1).expect("an after: line");
+        rest.split(' ').next().unwrap().parse().expect("a count")
+    }
+
+    #[test]
+    fn pressure_apply_counts_a_pm_cooled_only_into_the_band_as_its_plan_does() {
+        use slackvm::sched::PlacementPolicy;
+        // pm0: four hot 8-vCPU VMs at 1:1 (score about 0.9); pm1: one idle
+        // VM. A one-migration budget takes pm0 to three hot VMs — about
+        // 0.67, inside the hysteresis band [0.60, 0.75): still hot to the
+        // plan, and it must be still hot to the line that follows it.
+        let mut hot = (0..).filter(|&i| slackvm_pressure::is_hot(42, VmId(i), 0.5));
+        let cold = (0..)
+            .find(|&i| !slackvm_pressure::is_hot(42, VmId(i), 0.5))
+            .unwrap();
+        let mut shared = slackvm::sim::SharedDeployment::with_policy(
+            Arc::new(flat(32)),
+            gib(128),
+            PlacementPolicy::FirstFit,
+        );
+        let level = OversubLevel::of(1);
+        for _ in 0..4 {
+            let id = VmId(hot.next().unwrap());
+            shared.deploy(id, VmSpec::of(8, gib(16), level)).unwrap();
+        }
+        shared
+            .deploy(VmId(cold), VmSpec::of(4, gib(8), level))
+            .unwrap();
+        assert_eq!(shared.cluster.opened(), 2);
+        let budget = slackvm_rebalance::Budget {
+            max_migrations: 1,
+            ..Default::default()
+        };
+        let out =
+            pressure_action("apply", DeploymentModel::Shared(shared), &budget, 42, 0.5).unwrap();
+        assert!(
+            out.contains("1 migration(s), hot PMs 1 -> 1 (0 cooled)"),
+            "{out}"
+        );
+        assert_eq!(header_hot_after(&out), after_line_hot(&out), "{out}");
     }
 
     #[test]

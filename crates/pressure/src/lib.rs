@@ -46,6 +46,11 @@ pub mod planner;
 pub mod score;
 pub mod signal;
 
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
+
 pub use estimator::{EstimatorConfig, UsageEstimator, UsageTracker};
 pub use planner::{plan_mitigation, plan_mitigation_avoiding, MitigationPlan};
 pub use score::{

@@ -18,16 +18,17 @@
 //! journalled as `WalOp::Migrate` by the online executor, so recovery
 //! and fsck replay mitigation exactly like consolidation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use slackvm_hypervisor::Host;
-use slackvm_model::{PmId, VmId};
-use slackvm_rebalance::{Budget, PlannedMove, RebalanceError, RebalancePlan};
+use slackvm_model::{PmId, VmId, VmSpec};
+use slackvm_rebalance::{Budget, PlannedMove, RebalanceError, RebalancePlan, ShadowHosts};
 use slackvm_sched::{Candidate, CandidateIndex, PlacementPolicy};
 use slackvm_sim::{index_entry, Cluster, DeploymentModel};
 
 use crate::score::{
-    score_host, score_pressure, vm_weight, PressureConfig, PressureReport, PressureState, StateKey,
+    read_model, report_of, score_of, weighted_demand, PmReading, PressureConfig, PressureReport,
+    PressureState, StateKey, VmRow,
 };
 
 /// A mitigation plan: the checked migration artifact plus the pressure
@@ -101,6 +102,11 @@ impl MitigationPlan {
 
 /// Plans a mitigation pass over the whole deployment (no avoided PMs,
 /// no hysteresis memory — the offline entry point).
+///
+/// `usage` must be pure — the same fraction for the same VM however
+/// often it is asked. It is read **once per placed VM per plan**; the
+/// report, the victim order, every destination test and the predicted
+/// states all derive from that one reading.
 pub fn plan_mitigation(
     model: &DeploymentModel,
     config: &PressureConfig,
@@ -114,6 +120,7 @@ pub fn plan_mitigation(
 /// (neither as victim source nor destination; failed PMs are always
 /// excluded) and classifies with the hysteresis memory in `prev` — the
 /// online executor passes its draining set and last tick's states.
+/// `usage` as for [`plan_mitigation`].
 pub fn plan_mitigation_avoiding(
     model: &DeploymentModel,
     config: &PressureConfig,
@@ -127,52 +134,39 @@ pub fn plan_mitigation_avoiding(
         .validate()
         .map_err(|e| RebalanceError::Invalid(format!("pressure thresholds: {e}")))?;
 
-    let before = score_pressure(model, config, usage, prev);
-    let mut moves = Vec::new();
-    let mut used_moves = 0u32;
-    let mut used_mem = 0u64;
-    let mut freed = 0u32;
-    let mut states_after = BTreeMap::new();
+    let readings = read_model(model, config, usage, prev);
+    let before = report_of(&readings);
+    let mut round = Round {
+        config,
+        budget,
+        avoid,
+        used_moves: 0,
+        used_mem: 0,
+        moves: Vec::new(),
+        states_after: BTreeMap::new(),
+        freed: 0,
+    };
 
+    let mut readings = readings.into_iter();
+    let mut next = || readings.next().expect("one reading per (sub)cluster");
     match model {
-        DeploymentModel::Shared(s) => mitigate_cluster(
-            &s.cluster,
-            &s.policy,
-            0,
-            config,
-            budget,
-            usage,
-            avoid,
-            prev,
-            &mut used_moves,
-            &mut used_mem,
-            &mut moves,
-            &mut states_after,
-            &mut freed,
-        ),
+        DeploymentModel::Shared(s) => round.mitigate_cluster(&s.cluster, &s.policy, next()),
         DeploymentModel::Dedicated(d) => {
             // The baseline packs First-Fit; spreading must not be
             // smarter than admission.
             let first_fit = PlacementPolicy::FirstFit;
-            for (level, cluster) in d.clusters() {
-                mitigate_cluster(
-                    cluster,
-                    &first_fit,
-                    level.ratio(),
-                    config,
-                    budget,
-                    usage,
-                    avoid,
-                    prev,
-                    &mut used_moves,
-                    &mut used_mem,
-                    &mut moves,
-                    &mut states_after,
-                    &mut freed,
-                );
+            for (_, cluster) in d.clusters() {
+                round.mitigate_cluster(cluster, &first_fit, next());
             }
         }
     }
+    let Round {
+        used_mem,
+        moves,
+        states_after,
+        freed,
+        ..
+    } = round;
 
     let hot_before = before.hot();
     let hot_after = states_after
@@ -203,160 +197,204 @@ pub fn plan_mitigation_avoiding(
     })
 }
 
-/// Mitigates one (sub)cluster's hot PMs on shadow hosts.
-#[allow(clippy::too_many_arguments)]
-fn mitigate_cluster<H: Host + Clone>(
-    cluster: &Cluster<H>,
-    policy: &PlacementPolicy,
-    level: u32,
-    config: &PressureConfig,
-    budget: &Budget,
-    usage: &impl Fn(VmId) -> f64,
-    avoid: &BTreeSet<PmId>,
-    prev: &BTreeMap<StateKey, PressureState>,
-    used_moves: &mut u32,
-    used_mem: &mut u64,
-    moves: &mut Vec<PlannedMove>,
-    states_after: &mut BTreeMap<StateKey, PressureState>,
-    freed: &mut u32,
-) {
-    let mut shadow: Vec<H> = cluster.hosts().to_vec();
-    let blocked: Vec<bool> = shadow
-        .iter()
-        .map(|h| cluster.is_failed(h.id()) || avoid.contains(&h.id()))
-        .collect();
-    let prev_of = |pm: PmId| prev.get(&(level, pm)).copied();
-    let initial: Vec<f64> = shadow
-        .iter()
-        .map(|h| score_host(h, config, usage).0)
-        .collect();
-    // Each PM's classification entering this round — the hysteresis
-    // memory every in-round reclassification builds on (a hot PM that
-    // only cools into the band must stay hot).
-    let state0: Vec<PressureState> = shadow
-        .iter()
-        .zip(&initial)
-        .map(|(h, &s)| config.classify(s, prev_of(h.id())))
-        .collect();
+/// What one planning round carries from (sub)cluster to (sub)cluster.
+struct Round<'a> {
+    config: &'a PressureConfig,
+    budget: &'a Budget,
+    avoid: &'a BTreeSet<PmId>,
+    used_moves: u32,
+    used_mem: u64,
+    moves: Vec<PlannedMove>,
+    states_after: BTreeMap<StateKey, PressureState>,
+    freed: u32,
+}
 
-    // Hottest first: the PM deepest into saturation is degrading its
-    // tenants hardest right now.
-    let mut hot: Vec<usize> = (0..shadow.len())
-        .filter(|&i| !blocked[i] && state0[i] == PressureState::Hot)
-        .collect();
-    hot.sort_by(|&a, &b| {
-        initial[b]
-            .total_cmp(&initial[a])
-            .then(shadow[a].id().cmp(&shadow[b].id()))
-    });
+impl Round<'_> {
+    /// Mitigates one (sub)cluster's hot PMs on shadow hosts, from the
+    /// `reading` taken of it: `reading[i].pressure` holds PM `i`'s
+    /// entering score and classification, `reading[i].rows` its VMs.
+    fn mitigate_cluster<H: Host + Clone>(
+        &mut self,
+        cluster: &Cluster<H>,
+        policy: &PlacementPolicy,
+        mut reading: Vec<PmReading>,
+    ) {
+        let (config, budget) = (self.config, self.budget);
+        let mut shadow = ShadowHosts::of(cluster, self.avoid);
+        // Each PM's classification entering this round — the hysteresis
+        // memory every in-round reclassification builds on (a hot PM
+        // that only cools into the band must stay hot).
+        let state0: Vec<PressureState> = reading.iter().map(|r| r.pressure.state).collect();
+        // Each PM's score as the plan so far left it. Only the two PMs a
+        // move touches are refreshed, by re-summing their rows.
+        let mut now: Vec<f64> = reading.iter().map(|r| r.pressure.score).collect();
 
-    // Destinations: cold, unblocked PMs only (empty-but-opened PMs
-    // included — spreading out *wants* headroom, unlike consolidation).
-    let mut index = CandidateIndex::new();
-    for (i, host) in shadow.iter().enumerate() {
-        debug_assert_eq!(host.id().0 as usize, i, "hosts are dense by PmId");
-        if !blocked[i] && state0[i] == PressureState::Cold {
-            let (candidate, key) = index_entry(host);
-            index.upsert(candidate, key);
+        // Hottest first: the PM deepest into saturation is degrading its
+        // tenants hardest right now.
+        let mut hot: Vec<usize> = (0..shadow.len())
+            .filter(|&i| !shadow.is_blocked(i) && state0[i] == PressureState::Hot)
+            .collect();
+        hot.sort_by(|&a, &b| {
+            now[b]
+                .total_cmp(&now[a])
+                .then(reading[a].pressure.pm.cmp(&reading[b].pressure.pm))
+        });
+
+        // Destinations: cold, unblocked PMs only (empty-but-opened PMs
+        // included — spreading out *wants* headroom, unlike consolidation).
+        let mut index = CandidateIndex::new();
+        for (i, &state) in state0.iter().enumerate() {
+            let host = shadow.get(i);
+            debug_assert_eq!(host.id().0 as usize, i, "hosts are dense by PmId");
+            if !shadow.is_blocked(i) && state == PressureState::Cold {
+                let (candidate, key) = index_entry(host);
+                index.upsert(candidate, key);
+            }
         }
-    }
 
-    let mut buf: Vec<Candidate> = Vec::new();
-    let mut budget_full = false;
-    for &h in &hot {
-        let victim_pm = shadow[h].id();
-        // Drain the busiest VMs until the PM cools through the
-        // hysteresis exit or nothing movable remains.
-        loop {
-            if budget_full {
-                break;
-            }
-            let (cur, _) = score_host(&shadow[h], config, usage);
-            if cur < config.hot_exit {
-                break; // cooled — partial mitigation is a win.
-            }
+        // The least demand of each shape that found no destination. A
+        // destination only ever receives VMs in a mitigation plan
+        // (sources entered hot and never join the index; a destination
+        // that warms is retired, none is added), so `can_host(spec)` and
+        // `now + add / cores < hot_exit` can only turn false: once
+        // `(spec, add)` had no destination, a VM of the same shape
+        // demanding at least as much has none either, and the gather is
+        // skipped.
+        let mut no_destination: HashMap<VmSpec, f64> = HashMap::new();
+        let mut buf: Vec<Candidate> = Vec::new();
+        let mut budget_full = false;
+        for &h in &hot {
+            let victim_pm = reading[h].pressure.pm;
             // Highest usage-per-freed-core first: the busiest VM
             // removes the most demand for each core's worth of churn.
-            let mut placements = shadow[h].placements();
-            placements.sort_by(|(va, sa), (vb, sb)| {
-                usage(*vb)
-                    .clamp(0.0, 1.0)
-                    .total_cmp(&usage(*va).clamp(0.0, 1.0))
-                    .then(sb.vcpus().cmp(&sa.vcpus()))
-                    .then(va.cmp(vb))
+            // The order is total and a move only takes its VM out of it,
+            // so it is sorted once per PM.
+            let mut order: Vec<VmRow> = reading[h].rows.clone();
+            order.sort_by(|a, b| {
+                b.usage
+                    .total_cmp(&a.usage)
+                    .then(b.spec.vcpus().cmp(&a.spec.vcpus()))
+                    .then(a.vm.cmp(&b.vm))
             });
-            let mut moved = false;
-            for (vm, spec) in &placements {
-                if *used_moves >= budget.max_migrations {
-                    budget_full = true;
+            // Drain the busiest VMs until the PM cools through the
+            // hysteresis exit or nothing movable remains.
+            loop {
+                if budget_full {
                     break;
                 }
-                if *used_mem + spec.mem_mib() > budget.max_moved_mem_mib {
-                    // This VM busts the memory budget; a smaller one
-                    // may still fit.
-                    continue;
+                if now[h] < config.hot_exit {
+                    break; // cooled — partial mitigation is a win.
                 }
-                index.gather_into(&mut buf, spec.mem_mib(), spec.vcpus());
-                let add = usage(*vm).clamp(0.0, 1.0) * spec.vcpus() as f64 * vm_weight(config, spec);
-                buf.retain(|c| {
-                    let dest = &shadow[c.id.0 as usize];
-                    if !dest.can_host(spec) {
-                        return false;
+                let mut moved = None;
+                for (at, row) in order.iter().enumerate() {
+                    let spec = &row.spec;
+                    if self.used_moves >= budget.max_migrations {
+                        budget_full = true;
+                        break;
                     }
-                    // Still cold now (earlier moves may have warmed it),
-                    // and predicted to stay out of the hot band after
-                    // absorbing this VM.
-                    let (now, _) = score_host(dest, config, usage);
-                    config.classify(now, Some(state0[c.id.0 as usize])) == PressureState::Cold
-                        && now + add / (dest.config().cores.max(1) as f64) < config.hot_exit
-                });
-                let Some(to) = policy.select(&buf, spec) else {
-                    continue;
-                };
-                let lifted = shadow[h].remove(*vm).expect("victim hosts the vm");
-                shadow[to.0 as usize]
-                    .deploy(*vm, lifted)
-                    .expect("can_host admitted the vm");
-                let (entry, key) = index_entry(&shadow[to.0 as usize]);
-                let (dest_score, _) = score_host(&shadow[to.0 as usize], config, usage);
-                if config.classify(dest_score, Some(state0[to.0 as usize])) == PressureState::Cold {
-                    index.upsert(entry, key);
-                } else {
-                    // The destination warmed up; it receives no more.
-                    index.retire(to);
+                    if self.used_mem + spec.mem_mib() > budget.max_moved_mem_mib {
+                        // This VM busts the memory budget; a smaller one
+                        // may still fit.
+                        continue;
+                    }
+                    let add = row.demand(config);
+                    if no_destination.get(spec).is_some_and(|&least| add >= least) {
+                        continue;
+                    }
+                    index.gather_into(&mut buf, spec.mem_mib(), spec.vcpus());
+                    buf.retain(|c| {
+                        let i = c.id.0 as usize;
+                        // Still cold now (earlier moves may have warmed
+                        // it), and predicted to stay out of the hot band
+                        // after absorbing this VM — two float tests on
+                        // the cached score before the host is asked.
+                        config.classify(now[i], Some(state0[i])) == PressureState::Cold
+                            && now[i] + add / (reading[i].pressure.cores.max(1) as f64)
+                                < config.hot_exit
+                            && shadow.get(i).can_host(spec)
+                    });
+                    let Some(to) = policy.select(&buf, spec) else {
+                        no_destination
+                            .entry(*spec)
+                            .and_modify(|least| *least = least.min(add))
+                            .or_insert(add);
+                        continue;
+                    };
+                    let t = to.0 as usize;
+                    let lifted = shadow
+                        .get_mut(h)
+                        .remove(row.vm)
+                        .expect("victim hosts the vm");
+                    shadow
+                        .get_mut(t)
+                        .deploy(row.vm, lifted)
+                        .expect("can_host admitted the vm");
+                    // Move the row with the VM and refresh the two PMs.
+                    let from_at = reading[h]
+                        .rows
+                        .binary_search_by_key(&row.vm, |r| r.vm)
+                        .expect("the victim's rows hold the vm");
+                    reading[h].rows.remove(from_at);
+                    let to_at = reading[t].rows.partition_point(|r| r.vm < row.vm);
+                    reading[t].rows.insert(to_at, *row);
+                    for i in [h, t] {
+                        debug_assert!(
+                            reading[i]
+                                .rows
+                                .iter()
+                                .map(|r| (r.vm, r.spec))
+                                .eq(shadow.get(i).placements()),
+                            "pm-{i}: cached rows drifted from placements()"
+                        );
+                        now[i] = score_of(
+                            weighted_demand(&reading[i].rows, config),
+                            reading[i].pressure.cores,
+                        );
+                    }
+                    let (entry, key) = index_entry(shadow.get(t));
+                    if config.classify(now[t], Some(state0[t])) == PressureState::Cold {
+                        index.upsert(entry, key);
+                    } else {
+                        // The destination warmed up; it receives no more.
+                        index.retire(to);
+                    }
+                    self.used_moves += 1;
+                    self.used_mem += lifted.mem_mib();
+                    self.moves.push(PlannedMove {
+                        vm: row.vm,
+                        spec: lifted,
+                        from: victim_pm,
+                        to,
+                    });
+                    moved = Some(at);
+                    break;
                 }
-                *used_moves += 1;
-                *used_mem += lifted.mem_mib();
-                moves.push(PlannedMove {
-                    vm: *vm,
-                    spec: lifted,
-                    from: victim_pm,
-                    to,
-                });
-                moved = true;
-                break;
+                let Some(at) = moved else {
+                    break; // nothing movable — leave the PM as mitigated as it got.
+                };
+                order.remove(at);
             }
-            if !moved {
-                break; // nothing movable — leave the PM as mitigated as it got.
+            if shadow.get(h).num_vms() == 0 {
+                self.freed += 1;
             }
         }
-        if shadow[h].num_vms() == 0 {
-            *freed += 1;
-        }
-    }
 
-    // Predicted post-apply classification, hysteresis-aware: what the
-    // online executor remembers for the next tick.
-    for (i, host) in shadow.iter().enumerate() {
-        let (score, _) = score_host(host, config, usage);
-        states_after.insert((level, host.id()), config.classify(score, Some(state0[i])));
+        // Predicted post-apply classification, hysteresis-aware: what the
+        // online executor remembers for the next tick.
+        for (i, pm) in reading.iter().enumerate() {
+            self.states_after.insert(
+                (pm.pressure.level, pm.pressure.pm),
+                config.classify(now[i], Some(state0[i])),
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slackvm_model::{gib, OversubLevel, PmConfig, VmSpec};
+    use crate::score::score_pressure;
+    use slackvm_model::{gib, OversubLevel, PmConfig};
     use slackvm_sim::{DedicatedDeployment, SharedDeployment};
     use std::sync::Arc;
 

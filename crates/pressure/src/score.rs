@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use slackvm_hypervisor::Host;
-use slackvm_model::{PmId, VmId};
+use slackvm_model::{PmId, VmId, VmSpec};
 use slackvm_sim::{Cluster, DeploymentModel};
 
 /// Scoring thresholds and weights.
@@ -231,69 +231,130 @@ impl PressureReport {
 
 /// The demand weight of one VM's oversubscription level: heavier the
 /// thinner the guarantee behind its vCPUs.
-pub(crate) fn vm_weight(config: &PressureConfig, spec: &slackvm_model::VmSpec) -> f64 {
+pub(crate) fn vm_weight(config: &PressureConfig, spec: &VmSpec) -> f64 {
     1.0 + config.overweight * (spec.level.ratio().saturating_sub(1)) as f64
 }
 
-/// Scores one host: weighted demanded cores and their ratio to the
-/// physical core count.
-pub(crate) fn score_host<H: Host>(
-    host: &H,
-    config: &PressureConfig,
-    usage: &impl Fn(VmId) -> f64,
-) -> (f64, f64) {
-    let mut demand = 0.0;
-    for (vm, spec) in host.placements() {
-        demand += usage(vm).clamp(0.0, 1.0) * spec.vcpus() as f64 * vm_weight(config, &spec);
-    }
-    let cores = host.config().cores.max(1) as f64;
-    (demand / cores, demand)
+/// One placed VM as the pressure plane read it. `usage` is evaluated
+/// once, when the row is built, and kept beside the VM (clamped), so a
+/// plan never asks twice.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VmRow {
+    pub(crate) vm: VmId,
+    pub(crate) spec: VmSpec,
+    pub(crate) usage: f64,
 }
 
-fn score_cluster<H: Host>(
+impl VmRow {
+    /// The VM's weighted demand in physical-core units: its term in its
+    /// PM's score, and what it adds to a destination's.
+    pub(crate) fn demand(&self, config: &PressureConfig) -> f64 {
+        self.usage * self.spec.vcpus() as f64 * vm_weight(config, &self.spec)
+    }
+}
+
+/// A PM's weighted demanded cores: its rows' terms summed in the order
+/// given, which must be `placements()` order (ascending `VmId`). Float
+/// addition is not associative, so a score cached and refreshed by the
+/// planner equals a score computed from scratch bit for bit only if both
+/// sum the same terms in the same order — this is the one body that
+/// does, for the scorer and for the planner's refreshes.
+pub(crate) fn weighted_demand(rows: &[VmRow], config: &PressureConfig) -> f64 {
+    let mut demand = 0.0;
+    for row in rows {
+        demand += row.demand(config);
+    }
+    demand
+}
+
+/// The pressure score of `demand` weighted cores on a `cores`-core PM.
+pub(crate) fn score_of(demand: f64, cores: u32) -> f64 {
+    demand / cores.max(1) as f64
+}
+
+/// One PM as read for a scoring or planning round: the report row and
+/// the per-VM rows it was summed from.
+#[derive(Debug)]
+pub(crate) struct PmReading {
+    pub(crate) rows: Vec<VmRow>,
+    pub(crate) pressure: PmPressure,
+}
+
+/// Reads one (sub)cluster: one `usage` call per placed VM.
+fn read_cluster<H: Host>(
     cluster: &Cluster<H>,
     level: u32,
     config: &PressureConfig,
     usage: &impl Fn(VmId) -> f64,
     prev: &BTreeMap<StateKey, PressureState>,
-    out: &mut Vec<PmPressure>,
-) {
-    for host in cluster.hosts() {
-        let (score, demand_cores) = score_host(host, config, usage);
-        out.push(PmPressure {
-            level,
-            pm: host.id(),
-            score,
-            demand_cores,
-            cores: host.config().cores,
-            vms: host.num_vms(),
-            state: config.classify(score, prev.get(&(level, host.id())).copied()),
-            failed: cluster.is_failed(host.id()),
-        });
+) -> Vec<PmReading> {
+    cluster
+        .hosts()
+        .iter()
+        .map(|host| {
+            let rows: Vec<VmRow> = host
+                .placements()
+                .into_iter()
+                .map(|(vm, spec)| VmRow {
+                    vm,
+                    spec,
+                    usage: usage(vm).clamp(0.0, 1.0),
+                })
+                .collect();
+            let demand_cores = weighted_demand(&rows, config);
+            let cores = host.config().cores;
+            let score = score_of(demand_cores, cores);
+            let pressure = PmPressure {
+                level,
+                pm: host.id(),
+                score,
+                demand_cores,
+                cores,
+                vms: host.num_vms(),
+                state: config.classify(score, prev.get(&(level, host.id())).copied()),
+                failed: cluster.is_failed(host.id()),
+            };
+            PmReading { rows, pressure }
+        })
+        .collect()
+}
+
+/// Reads the whole deployment, one vector per (sub)cluster in
+/// [`PressureReport`] order — the single fleet reading a scoring or
+/// planning round is derived from.
+pub(crate) fn read_model(
+    model: &DeploymentModel,
+    config: &PressureConfig,
+    usage: &impl Fn(VmId) -> f64,
+    prev: &BTreeMap<StateKey, PressureState>,
+) -> Vec<Vec<PmReading>> {
+    match model {
+        DeploymentModel::Shared(s) => vec![read_cluster(&s.cluster, 0, config, usage, prev)],
+        DeploymentModel::Dedicated(d) => d
+            .clusters()
+            .map(|(level, cluster)| read_cluster(cluster, level.ratio(), config, usage, prev))
+            .collect(),
+    }
+}
+
+/// The report rows of a reading.
+pub(crate) fn report_of(readings: &[Vec<PmReading>]) -> PressureReport {
+    PressureReport {
+        pms: readings.iter().flatten().map(|r| r.pressure).collect(),
     }
 }
 
 /// Scores every opened PM of the deployment, classifying with the
 /// hysteresis memory in `prev` (pass an empty map for a stateless
 /// snapshot — everything classifies by the enter/cold thresholds).
+/// `usage` is called once per placed VM.
 pub fn score_pressure(
     model: &DeploymentModel,
     config: &PressureConfig,
     usage: &impl Fn(VmId) -> f64,
     prev: &BTreeMap<StateKey, PressureState>,
 ) -> PressureReport {
-    let mut pms = Vec::new();
-    match model {
-        DeploymentModel::Shared(s) => {
-            score_cluster(&s.cluster, 0, config, usage, prev, &mut pms);
-        }
-        DeploymentModel::Dedicated(d) => {
-            for (level, cluster) in d.clusters() {
-                score_cluster(cluster, level.ratio(), config, usage, prev, &mut pms);
-            }
-        }
-    }
-    PressureReport { pms }
+    report_of(&read_model(model, config, usage, prev))
 }
 
 #[cfg(test)]

@@ -82,15 +82,14 @@ pub fn observe_model(
     model: &DeploymentModel,
     sample: impl Fn(VmId) -> f64,
 ) {
-    let mut alive = std::collections::BTreeSet::new();
-    let mut feed = |vm: VmId| {
-        alive.insert(vm);
-    };
-    for_each_placed(model, &mut feed);
+    let mut alive: Vec<VmId> = Vec::new();
+    for_each_placed(model, &mut |vm| alive.push(vm));
+    alive.sort_unstable();
+    alive.dedup();
     for &vm in &alive {
         tracker.observe(vm, sample(vm));
     }
-    tracker.retain(|vm| alive.contains(&vm));
+    tracker.retain(|vm| alive.binary_search(&vm).is_ok());
 }
 
 /// Visits every placed VM id across both deployment models.

@@ -21,6 +21,9 @@
 //!   `Host::deploy` admission path, not by trusting the planner. A
 //!   plan computed against a stale snapshot is rejected whole, never
 //!   partially applied.
+//! - [`ShadowHosts`] is the view both of the above (and
+//!   `slackvm-pressure`'s planner) work on: the live hosts borrowed, a
+//!   private clone made only of a host a tentative move mutates.
 //! - [`apply_plan`] executes a validated plan offline against a
 //!   deployment model with rollback on unexpected failure, reporting
 //!   the PM-count delta. The online executor in `slackvm-serve` uses
@@ -31,12 +34,19 @@ pub mod apply;
 pub mod plan;
 pub mod planner;
 pub mod score;
+pub mod shadow;
 pub mod validate;
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 pub use apply::{apply_plan, ApplyReport};
 pub use plan::{Budget, PlannedMove, RebalancePlan};
 pub use planner::{plan_rebalance, plan_rebalance_avoiding};
 pub use score::{score_model, FragmentationReport, PmScore};
+pub use shadow::ShadowHosts;
 pub use validate::{validate_plan, validate_plan_avoiding};
 
 use slackvm_model::VmId;

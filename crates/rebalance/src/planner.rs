@@ -11,8 +11,9 @@
 //! would bust the budget) is left untouched: partial drains move
 //! memory without freeing a PM, the worst of both worlds.
 //!
-//! All planning happens on *shadow hosts* — clones of the real
-//! machines — so every tentative move runs the authoritative
+//! All planning happens on *shadow hosts* — a [`ShadowHosts`] view that
+//! borrows the live machines and clones one only when a tentative move
+//! first mutates it — so every tentative move runs the authoritative
 //! `Host::can_host`/`deploy` admission path (capacity,
 //! oversubscription ratios, pooled-vNode rules) without touching the
 //! live cluster.
@@ -20,11 +21,12 @@
 use std::collections::BTreeSet;
 
 use slackvm_hypervisor::Host;
-use slackvm_model::PmId;
+use slackvm_model::{PmId, VmSpec};
 use slackvm_sched::{Candidate, CandidateIndex, PlacementPolicy};
 use slackvm_sim::{index_entry, Cluster, DeploymentModel};
 
 use crate::plan::{Budget, PlannedMove, RebalancePlan};
+use crate::shadow::ShadowHosts;
 use crate::RebalanceError;
 
 /// Plans a consolidation pass over the whole deployment.
@@ -51,15 +53,18 @@ pub fn plan_rebalance_avoiding(
     let mut used_moves = 0u32;
     let mut used_mem = 0u64;
     let pms_freed = match model {
-        DeploymentModel::Shared(s) => plan_cluster(
-            &s.cluster,
-            &s.policy,
-            avoid,
-            budget,
-            &mut used_moves,
-            &mut used_mem,
-            &mut moves,
-        ),
+        DeploymentModel::Shared(s) => {
+            plan_cluster(
+                &s.cluster,
+                &s.policy,
+                avoid,
+                budget,
+                &mut used_moves,
+                &mut used_mem,
+                &mut moves,
+            )
+            .freed
+        }
         DeploymentModel::Dedicated(d) => {
             // The baseline always packs First-Fit; consolidation must
             // not introduce a smarter policy than admission has.
@@ -75,6 +80,7 @@ pub fn plan_rebalance_avoiding(
                         &mut used_mem,
                         &mut moves,
                     )
+                    .freed
                 })
                 .sum()
         }
@@ -88,9 +94,24 @@ pub fn plan_rebalance_avoiding(
     })
 }
 
-/// Drains what the budget allows from one (sub)cluster. Returns the
-/// number of PMs freed; appends the staged moves to `moves`.
-fn plan_cluster<H: Host + Clone>(
+/// What draining one (sub)cluster did. Only `freed` reaches the plan;
+/// the other counts are what the differential tests pin.
+#[derive(Debug, Default)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) struct DrainStats {
+    /// PMs drained to empty.
+    pub freed: u32,
+    /// Victims skipped, untouched, for holding a VM of a dead shape.
+    pub victims_skipped: u32,
+    /// Moves staged on the shadows, kept or not.
+    pub trial_moves: u32,
+    /// Staged moves taken back because their victim did not drain.
+    pub undone_moves: u32,
+}
+
+/// Drains what the budget allows from one (sub)cluster; appends the
+/// staged moves to `moves`.
+pub(crate) fn plan_cluster<H: Host + Clone>(
     cluster: &Cluster<H>,
     policy: &PlacementPolicy,
     avoid: &BTreeSet<PmId>,
@@ -98,24 +119,21 @@ fn plan_cluster<H: Host + Clone>(
     used_moves: &mut u32,
     used_mem: &mut u64,
     moves: &mut Vec<PlannedMove>,
-) -> u32 {
-    let mut shadow: Vec<H> = cluster.hosts().to_vec();
-    let blocked: Vec<bool> = shadow
-        .iter()
-        .map(|h| cluster.is_failed(h.id()) || avoid.contains(&h.id()))
-        .collect();
+) -> DrainStats {
+    let mut shadow = ShadowHosts::of(cluster, avoid);
 
     // Cheapest-to-free first: ascending mean utilization, then fewer
     // VMs, then *higher* PM id — freeing trailing ids preserves the
     // First-Fit consolidation bias at the front of the fleet.
     let mut victims: Vec<usize> = (0..shadow.len())
-        .filter(|&i| !blocked[i] && shadow[i].num_vms() > 0)
+        .filter(|&i| !shadow.is_blocked(i) && shadow.get(i).num_vms() > 0)
         .collect();
     victims.sort_by(|&a, &b| {
-        utilization(&shadow[a])
-            .total_cmp(&utilization(&shadow[b]))
-            .then(shadow[a].num_vms().cmp(&shadow[b].num_vms()))
-            .then(shadow[b].id().cmp(&shadow[a].id()))
+        let (a, b) = (shadow.get(a), shadow.get(b));
+        utilization(a)
+            .total_cmp(&utilization(b))
+            .then(a.num_vms().cmp(&b.num_vms()))
+            .then(b.id().cmp(&a.id()))
     });
 
     // Destinations are *active* PMs only: moving a VM onto an empty
@@ -123,25 +141,33 @@ fn plan_cluster<H: Host + Clone>(
     // zero that re-plans forever (drain A into empty B, then B into
     // empty A). Empty PMs are the consolidation win, never a target.
     let mut index = CandidateIndex::new();
-    for (i, host) in shadow.iter().enumerate() {
+    for i in 0..shadow.len() {
+        let host = shadow.get(i);
         debug_assert_eq!(host.id().0 as usize, i, "hosts are dense by PmId");
-        if !blocked[i] && host.num_vms() > 0 {
+        if !shadow.is_blocked(i) && host.num_vms() > 0 {
             let (candidate, key) = index_entry(host);
             index.upsert(candidate, key);
         }
     }
 
+    // Shapes no PM will admit for the rest of this plan. Committed
+    // capacity is monotone: a destination only fills, a drained victim
+    // stays retired, and a failed drain puts every VM back — so once no
+    // indexed PM can host a shape, none ever will, and a victim holding
+    // a VM of that shape cannot drain. It is skipped before it is
+    // retired or touched; trying it would stage moves and undo them all.
+    let mut dead: Vec<VmSpec> = Vec::new();
     let mut received: BTreeSet<PmId> = BTreeSet::new();
     let mut buf: Vec<Candidate> = Vec::new();
-    let mut freed = 0u32;
+    let mut stats = DrainStats::default();
     for &v in &victims {
-        let victim_pm = shadow[v].id();
+        let victim_pm = shadow.get(v).id();
         // A PM that absorbed another victim's VMs stays put: draining
         // it would undo the consolidation we just planned.
         if received.contains(&victim_pm) {
             continue;
         }
-        let placements = shadow[v].placements();
+        let placements = shadow.get(v).placements();
         let victim_mem: u64 = placements.iter().map(|(_, spec)| spec.mem_mib()).sum();
         if *used_moves + placements.len() as u32 > budget.max_migrations
             || *used_mem + victim_mem > budget.max_moved_mem_mib
@@ -149,22 +175,27 @@ fn plan_cluster<H: Host + Clone>(
             // Over budget for this victim; a smaller one may still fit.
             continue;
         }
+        if placements.iter().any(|(_, spec)| dead.contains(spec)) {
+            stats.victims_skipped += 1;
+            continue;
+        }
 
         index.retire(victim_pm);
         let mut staged: Vec<PlannedMove> = Vec::new();
-        let mut drained = true;
+        let mut stuck: Option<VmSpec> = None;
         for (vm, spec) in &placements {
             index.gather_into(&mut buf, spec.mem_mib(), spec.vcpus());
-            buf.retain(|c| shadow[c.id.0 as usize].can_host(spec));
+            buf.retain(|c| shadow.get(c.id.0 as usize).can_host(spec));
             let Some(to) = policy.select(&buf, spec) else {
-                drained = false;
+                stuck = Some(*spec);
                 break;
             };
-            let lifted = shadow[v].remove(*vm).expect("victim hosts the vm");
-            shadow[to.0 as usize]
+            let lifted = shadow.get_mut(v).remove(*vm).expect("victim hosts the vm");
+            shadow
+                .get_mut(to.0 as usize)
                 .deploy(*vm, lifted)
                 .expect("can_host admitted the vm");
-            let (candidate, key) = index_entry(&shadow[to.0 as usize]);
+            let (candidate, key) = index_entry(shadow.get(to.0 as usize));
             index.upsert(candidate, key);
             staged.push(PlannedMove {
                 vm: *vm,
@@ -173,32 +204,53 @@ fn plan_cluster<H: Host + Clone>(
                 to,
             });
         }
+        stats.trial_moves += staged.len() as u32;
 
-        if drained && !staged.is_empty() {
+        if stuck.is_none() && !staged.is_empty() {
             *used_moves += staged.len() as u32;
             *used_mem += victim_mem;
             received.extend(staged.iter().map(|mv| mv.to));
             moves.extend(staged);
-            freed += 1;
+            stats.freed += 1;
             // The drained victim stays retired: it is the freed
             // capacity and must not become a destination again.
         } else {
             // All-or-nothing: undo the partial drain on the shadows.
+            // The clones stay; a host that has its VMs back answers
+            // every question the plan asks as the live host does (see
+            // `ShadowHosts`).
+            stats.undone_moves += staged.len() as u32;
             for mv in staged.iter().rev() {
-                let spec = shadow[mv.to.0 as usize]
+                let spec = shadow
+                    .get_mut(mv.to.0 as usize)
                     .remove(mv.vm)
                     .expect("staged move is present");
-                shadow[v]
+                shadow
+                    .get_mut(v)
                     .deploy(mv.vm, spec)
                     .expect("victim re-admits its own vm");
-                let (candidate, key) = index_entry(&shadow[mv.to.0 as usize]);
+                let (candidate, key) = index_entry(shadow.get(mv.to.0 as usize));
                 index.upsert(candidate, key);
             }
-            let (candidate, key) = index_entry(&shadow[v]);
+            // Everything is back where it was and the victim is still
+            // out of the index: if no indexed PM admits the shape that
+            // stuck, and the victim — about to be indexed again —
+            // cannot take another VM of it either, the shape is dead.
+            if let Some(spec) = stuck {
+                index.gather_into(&mut buf, spec.mem_mib(), spec.vcpus());
+                if !buf
+                    .iter()
+                    .any(|c| shadow.get(c.id.0 as usize).can_host(&spec))
+                    && !shadow.get(v).can_host(&spec)
+                {
+                    dead.push(spec);
+                }
+            }
+            let (candidate, key) = index_entry(shadow.get(v));
             index.upsert(candidate, key);
         }
     }
-    freed
+    stats
 }
 
 fn utilization<H: Host>(host: &H) -> f64 {

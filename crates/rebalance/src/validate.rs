@@ -3,7 +3,8 @@
 //! A plan is data that may have travelled — computed against an older
 //! snapshot, deserialized from an operator's file, or produced by a
 //! buggy planner. Before anything moves, the validator replays the
-//! whole plan in order against *shadow clones* of the live hosts, so
+//! whole plan in order against *shadows* of the live hosts — borrowed,
+//! and cloned only where a move lands or lifts ([`ShadowHosts`]) — so
 //! every hard constraint (capacity, oversubscription ratios,
 //! pooled-vNode rules) is enforced by the same `Host::can_host` /
 //! `deploy` admission path the cluster itself uses. Any mismatch
@@ -13,9 +14,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use slackvm_hypervisor::Host;
 use slackvm_model::{PmId, VmId};
-use slackvm_sim::{Cluster, DeploymentModel};
+use slackvm_sim::DeploymentModel;
 
 use crate::plan::{PlannedMove, RebalancePlan};
+use crate::shadow::ShadowHosts;
 use crate::RebalanceError;
 
 /// Validates `plan` against the live `model`. `Ok(())` means every
@@ -66,93 +68,83 @@ pub fn validate_plan_avoiding(
 
     match model {
         DeploymentModel::Shared(s) => {
-            let mut shadow = Shadow::of(&s.cluster, avoid);
+            let mut hosts = ShadowHosts::of(&s.cluster, avoid);
             for mv in &plan.moves {
-                shadow.apply(mv)?;
+                replay_move(&mut hosts, mv)?;
             }
         }
         DeploymentModel::Dedicated(d) => {
             let mut shadows: BTreeMap<_, _> = d
                 .clusters()
-                .map(|(level, cluster)| (level, Shadow::of(cluster, avoid)))
+                .map(|(level, cluster)| (level, ShadowHosts::of(cluster, avoid)))
                 .collect();
             for mv in &plan.moves {
-                let shadow = shadows.get_mut(&mv.spec.level).ok_or_else(|| {
+                let hosts = shadows.get_mut(&mv.spec.level).ok_or_else(|| {
                     RebalanceError::Invalid(format!(
                         "{} targets unconfigured level {}",
                         mv.vm, mv.spec.level
                     ))
                 })?;
-                shadow.apply(mv)?;
+                replay_move(hosts, mv)?;
             }
         }
     }
     Ok(())
 }
 
-/// Shadow clones of one (sub)cluster's hosts, replaying moves through
-/// the authoritative admission path.
-struct Shadow<H: Host + Clone> {
-    hosts: Vec<H>,
-    blocked: Vec<bool>,
-}
-
-impl<H: Host + Clone> Shadow<H> {
-    fn of(cluster: &Cluster<H>, avoid: &BTreeSet<PmId>) -> Self {
-        let hosts: Vec<H> = cluster.hosts().to_vec();
-        let blocked = hosts
-            .iter()
-            .map(|h| cluster.is_failed(h.id()) || avoid.contains(&h.id()))
-            .collect();
-        Shadow { hosts, blocked }
+/// Replays one move on the shadows of its (sub)cluster through the
+/// authoritative admission path: lift, compare the spec, ask the
+/// destination, land.
+pub(crate) fn replay_move<H: Host + Clone>(
+    hosts: &mut ShadowHosts<'_, H>,
+    mv: &PlannedMove,
+) -> Result<(), RebalanceError> {
+    let from = mv.from.0 as usize;
+    let to = mv.to.0 as usize;
+    if from >= hosts.len() {
+        return Err(RebalanceError::Stale(format!(
+            "{} names unknown source pm-{}",
+            mv.vm, mv.from.0
+        )));
     }
-
-    fn apply(&mut self, mv: &PlannedMove) -> Result<(), RebalanceError> {
-        let from = mv.from.0 as usize;
-        let to = mv.to.0 as usize;
-        if from >= self.hosts.len() {
-            return Err(RebalanceError::Stale(format!(
-                "{} names unknown source pm-{}",
-                mv.vm, mv.from.0
-            )));
-        }
-        if to >= self.hosts.len() {
-            return Err(RebalanceError::Invalid(format!(
-                "{} names unknown destination pm-{}",
-                mv.vm, mv.to.0
-            )));
-        }
-        if from == to {
-            return Err(RebalanceError::Invalid(format!(
-                "{} moves onto its own source pm-{}",
-                mv.vm, mv.from.0
-            )));
-        }
-        if self.blocked[from] || self.blocked[to] {
-            return Err(RebalanceError::Invalid(format!(
-                "{} touches a failed/draining pm (pm-{} -> pm-{})",
-                mv.vm, mv.from.0, mv.to.0
-            )));
-        }
-        let spec = self.hosts[from].remove(mv.vm).map_err(|_| {
-            RebalanceError::Stale(format!("{} is not on pm-{}", mv.vm, mv.from.0))
-        })?;
-        if spec != mv.spec {
-            return Err(RebalanceError::Stale(format!(
-                "{} spec changed since planning ({} != {})",
-                mv.vm, spec, mv.spec
-            )));
-        }
-        if !self.hosts[to].can_host(&spec) {
-            return Err(RebalanceError::Invalid(format!(
-                "pm-{} cannot host {} ({})",
-                mv.to.0, mv.vm, spec
-            )));
-        }
-        self.hosts[to].deploy(mv.vm, spec).map_err(|e| {
-            RebalanceError::Invalid(format!("pm-{} rejected {}: {e}", mv.to.0, mv.vm))
-        })
+    if to >= hosts.len() {
+        return Err(RebalanceError::Invalid(format!(
+            "{} names unknown destination pm-{}",
+            mv.vm, mv.to.0
+        )));
     }
+    if from == to {
+        return Err(RebalanceError::Invalid(format!(
+            "{} moves onto its own source pm-{}",
+            mv.vm, mv.from.0
+        )));
+    }
+    if hosts.is_blocked(from) || hosts.is_blocked(to) {
+        return Err(RebalanceError::Invalid(format!(
+            "{} touches a failed/draining pm (pm-{} -> pm-{})",
+            mv.vm, mv.from.0, mv.to.0
+        )));
+    }
+    let spec = hosts
+        .get_mut(from)
+        .remove(mv.vm)
+        .map_err(|_| RebalanceError::Stale(format!("{} is not on pm-{}", mv.vm, mv.from.0)))?;
+    if spec != mv.spec {
+        return Err(RebalanceError::Stale(format!(
+            "{} spec changed since planning ({} != {})",
+            mv.vm, spec, mv.spec
+        )));
+    }
+    if !hosts.get(to).can_host(&spec) {
+        return Err(RebalanceError::Invalid(format!(
+            "pm-{} cannot host {} ({})",
+            mv.to.0, mv.vm, spec
+        )));
+    }
+    hosts
+        .get_mut(to)
+        .deploy(mv.vm, spec)
+        .map_err(|e| RebalanceError::Invalid(format!("pm-{} rejected {}: {e}", mv.to.0, mv.vm)))
 }
 
 #[cfg(test)]
